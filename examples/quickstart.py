@@ -32,8 +32,6 @@ bit-identical.  Shell form::
         --method fixed_budget --runs 3 --workers 2 --out store.jsonl
 """
 
-import warnings
-
 import numpy as np
 
 from repro import (
@@ -43,7 +41,6 @@ from repro import (
     SweepSpec,
     optimize,
     reference_yield,
-    run_moheco,
     run_sweep,
 )
 from repro.problems import make_problem
@@ -90,15 +87,14 @@ def main() -> None:
           f"{legacy_engine.elapsed_seconds:.2f}s "
           f"({legacy_engine.sims_per_second:,.0f} sims/s) — same result")
 
-    # The pre-1.1 wrappers still work (as deprecation shims over optimize)
-    # and reproduce the exact same run for the same seed.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_moheco(problem, rng=2010, pop_size=20, max_generations=40)
-    assert legacy.best_yield == result.best_yield
-    assert legacy.n_simulations == result.n_simulations
-    print("\nlegacy run_moheco shim reproduces the run exactly "
-          f"({legacy.n_simulations} simulations)")
+    # The imperative form — a problem object, a method name and keyword
+    # overrides — reproduces the exact same run for the same seed.
+    imperative = optimize(problem, "moheco", seed=2010, pop_size=20,
+                          max_generations=40)
+    assert imperative.best_yield == result.best_yield
+    assert imperative.n_simulations == result.n_simulations
+    print("\nimperative optimize(problem, 'moheco', ...) reproduces the run "
+          f"exactly ({imperative.n_simulations} simulations)")
 
     # Replicated evaluation is a declarative sweep: the same grid executed
     # serially and sharded across two worker processes yields bit-identical

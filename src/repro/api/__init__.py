@@ -6,8 +6,8 @@ Everything a user (or a deployment) needs is reachable from here:
   :func:`list_methods` (and the problem/sampler/estimator equivalents) let
   third-party scenarios plug in by name.
 * **RunSpec** — a declarative, JSON-round-trippable description of one run.
-* **optimize** — the single driver behind every entry point (legacy
-  ``run_*`` wrappers, experiments, CLI).
+* **optimize** — the single driver behind every entry point (experiments,
+  sweeps, service, CLI).
 * **Sweeps** — :class:`~repro.sweep.spec.SweepSpec` grids
   (methods × problems × seeds) executed by
   :func:`~repro.sweep.executor.run_sweep`: whole runs sharded across a
@@ -24,10 +24,12 @@ Everything a user (or a deployment) needs is reachable from here:
   LRU byte budget and an optional JSONL spill file shared across runs;
   ledger-faithful by default, selected via ``RunSpec.cache`` or
   ``--cache``.
-* **Composed methods** — :func:`register_composed_method` turns a
-  ``{screener, proposer, selection, backbone}`` config into a full method
-  entry (:mod:`repro.compose`); the parts plug in by name through the
-  :data:`SCREENERS` / :data:`PROPOSERS` / :data:`SELECTIONS` registries.
+* **Method rows** — :func:`register_composed_method` turns a
+  ``{screener, proposer, selection, backbone}`` config (plus an optional
+  ``estimation``) into a full method entry (:mod:`repro.compose`); every
+  built-in MOHECO-family method is such a row.  The parts plug in by name
+  through the :data:`SCREENERS` / :data:`PROPOSERS` / :data:`SELECTIONS`
+  registries.
 * **CLI** — ``python -m repro run --problem folded_cascode --seed 7 --out
   result.json`` (:mod:`repro.api.cli`).
 
@@ -82,7 +84,6 @@ from repro.compose import (
     register_proposer,
     register_screener,
     register_selection,
-    run_composed,
 )
 from repro.engine import (
     CacheStats,
@@ -173,7 +174,6 @@ __all__ = [
     "get_selection",
     "list_selections",
     "register_composed_method",
-    "run_composed",
     # engines
     "EvaluationEngine",
     "LegacyEngine",

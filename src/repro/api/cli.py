@@ -43,6 +43,7 @@ import dataclasses
 import json
 import os
 import sys
+import threading
 
 from repro.api.driver import optimize
 from repro.api.registries import (
@@ -532,8 +533,7 @@ def _command_run(args: argparse.Namespace) -> int:
                     f"engine[remote]: {decision['rows']} rows in "
                     f"{decision['chunks']} chunks over {fleet}/"
                     f"{len(decision['workers'])} worker(s) "
-                    f"({decision['dispatch']} dispatch, "
-                    f"re_dispatched={decision['re_dispatched']}, "
+                    f"(re_dispatched={decision['re_dispatched']}, "
                     f"local_rows={decision['local_rows']}, "
                     f"worker_cache_rows={decision.get('worker_cache_rows', 0)})"
                 )
@@ -716,19 +716,25 @@ def _command_worker(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         raise SystemExit(f"error: {error}") from error
     cache_note = "cache on" if server.cache is not None else "cache off"
+    # Serve before registering: the service health-probes the worker while
+    # it handles the registration request.
+    serving = threading.Thread(
+        target=server.serve_forever, name="repro-worker", daemon=True
+    )
+    serving.start()
     print(f"repro worker listening on {server.url} ({cache_note})", flush=True)
-    if args.register:
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(args.register)
-        fleet = _service_errors(lambda: client.register_worker(server.url))
-        print(
-            f"registered with {args.register} "
-            f"({len(fleet)} worker(s) in the fleet)",
-            flush=True,
-        )
     try:
-        server.serve_forever()
+        if args.register:
+            from repro.service.client import ServiceClient
+
+            client = ServiceClient(args.register)
+            fleet = _service_errors(lambda: client.register_worker(server.url))
+            print(
+                f"registered with {args.register} "
+                f"({len(fleet)} worker(s) in the fleet)",
+                flush=True,
+            )
+        serving.join()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
@@ -835,11 +841,12 @@ def _command_cancel(args: argparse.Namespace) -> int:
 
 
 def _print_methods() -> None:
-    """One line per method: name, description, composed-config summary.
+    """One line per method: name, description, full method row.
 
     The description comes from the runner's ``description`` attribute and
-    the config summary from ``compose_config`` — both attached by the
-    method registrations, so third-party methods opt in the same way.
+    the row from ``compose_config`` — both attached by
+    :func:`~repro.compose.method.register_composed_method`, so
+    third-party rows show up the same way.
     """
     from repro.api.registries import get_method
 
@@ -851,11 +858,8 @@ def _print_methods() -> None:
         description = getattr(runner, "description", "") or "(no description)"
         compose = getattr(runner, "compose_config", None)
         if compose is not None:
-            parts = " ".join(
-                f"{field}={compose[field]}"
-                for field in ("screener", "proposer", "selection", "backbone")
-            )
-            description = f"{description} [{parts}]"
+            row = " ".join(f"{field}={value}" for field, value in compose.items())
+            description = f"{description} [{row}]"
         print(f"  {name:<{width}}  {description}")
 
 

@@ -2,9 +2,9 @@
 
 :func:`optimize` accepts either a declarative :class:`~repro.api.spec.RunSpec`
 or an imperative ``(problem, method=...)`` call, resolves names through the
-registries, and dispatches to the registered method runner.  The legacy
-``run_moheco``/``run_oo_only``/``run_fixed_budget`` wrappers, the experiment
-harness and the CLI are all thin shims over this function.
+registries, and dispatches to the registered method runner.  The experiment
+harness, the sweep executor, the service and the CLI are all thin layers
+over this function.
 """
 
 from __future__ import annotations
@@ -186,13 +186,13 @@ def optimize(
             )
 
     runner = METHODS.get(method if method is not None else "moheco")
-    # Methods may declare factory defaults for name-resolved caches (e.g.
-    # ``moheco_mf`` asks for sample-level keying so promoted candidates
-    # replay their low-rung rows); explicit cache_params still win, and
-    # ready-made cache instances are never reconfigured.
+    # Methods may derive factory defaults for name-resolved caches from the
+    # run's overrides (a ladder run asks for sample-level keying so promoted
+    # candidates replay their low-rung rows); explicit cache_params still
+    # win, and ready-made cache instances are never reconfigured.
     cache_defaults = getattr(runner, "cache_defaults", None)
-    if cache_defaults and isinstance(cache, str):
-        cache_params = {**cache_defaults, **(cache_params or {})}
+    if cache_defaults is not None and isinstance(cache, str):
+        cache_params = {**cache_defaults(overrides), **(cache_params or {})}
     engine_obj = make_engine(engine, **(engine_params or {})) if engine is not None else None
     owns_engine = engine_obj is not None and not isinstance(engine, EvaluationEngine)
     cache_obj = make_cache(cache, **(cache_params or {})) if cache is not None else None

@@ -1,196 +1,93 @@
-"""Built-in method registrations.
+"""Built-in method registrations: the method table.
 
-The paper's compared methods are four entries in the method registry, all
-driven through :func:`repro.api.optimize`:
+The paper's compared methods share one engine: "In all methods, the AS
+and LHS technique are used ... All experiments also use the DE
+optimization engine and the selection-based constraint handling
+mechanism" — they differ only in the yield-estimation budget policy and
+the presence of the memetic operators.  So every MOHECO-family method is
+one row on the one driver (:class:`~repro.core.moheco.MOHECO`),
+registered through :func:`~repro.compose.method.register_composed_method`:
 
 * ``moheco`` — the full algorithm (OO + AS + LHS + memetic NM).
 * ``oo_only`` — budget allocation without the memetic operators.
 * ``fixed_budget`` — AS + LHS with ``n_fixed`` simulations per feasible
   candidate (the state-of-the-art MC flow the paper compares against).
-* ``pswcd`` — the performance-specific worst-case-distance baseline of
-  section 3.4, adapted to the common result type.
+* ``moheco_mf`` — stage 1 climbs a multi-fidelity ladder (:mod:`repro.mf`).
+* ``moheco_screened`` / ``fixed_budget_screened`` — a surrogate screener
+  prunes trials before simulation.
+* ``moheco_lineasy`` — 1-D-subspace trial proposals.
+
+``pswcd`` — the performance-specific worst-case-distance baseline of
+section 3.4 — is the one method on its own driver, adapted to the common
+result type.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 from repro.api.registries import register_method
 from repro.baselines.pswcd import PSWCDOptimizer
+from repro.compose.method import register_composed_method
 from repro.core.callbacks import CallbackList
-from repro.core.config import MOHECOConfig
 from repro.core.history import OptimizationHistory
-from repro.core.moheco import MOHECO, MOHECOResult
+from repro.core.moheco import MOHECOResult
 from repro.ledger import SimulationLedger
 from repro.yieldsim.estimator import YieldEstimate
 
-__all__ = []
+__all__ = ["METHOD_TABLE"]
 
 
-def _config_builder(config_factory, budget_arg: str):
-    """Overrides-dict -> validated ``MOHECOConfig`` for one method entry.
-
-    ``budget_arg`` is the factory's named budget parameter (``n_max`` or the
-    ``n_fixed`` alias); it is routed to the factory while every other
-    override goes through ``with_overrides`` — so a config-field override
-    that shadows the alias (e.g. ``n_fixed=50, n_max=60``) wins instead of
-    colliding, matching the legacy ``run_*`` semantics.  Bad overrides —
-    unknown names, or values the config rejects (e.g. a stage-1 budget that
-    cannot cover the pilot samples) — raise ``ValueError`` here, which the
-    spec layer (:func:`repro.api.errors.validate_run_spec`) surfaces as a
-    structured :class:`~repro.api.errors.SpecError` at submission time.
-    """
-
-    config_fields = {field.name for field in dataclasses.fields(MOHECOConfig)}
-
-    def build(overrides: dict) -> MOHECOConfig:
-        overrides = dict(overrides)
-        factory_kwargs = (
-            {budget_arg: overrides.pop(budget_arg)} if budget_arg in overrides else {}
-        )
-        unknown = set(overrides) - config_fields
-        if unknown:
-            raise ValueError(
-                f"unknown config override(s) {sorted(unknown)}; valid fields: "
-                f"{', '.join(sorted(config_fields | {budget_arg}))}"
-            )
-        return config_factory(**factory_kwargs).with_overrides(**overrides)
-
-    return build
+def _row(backbone: str, screener=None, proposer="de", **extra) -> dict:
+    return {
+        "screener": screener,
+        "proposer": proposer,
+        "selection": "one_to_one",
+        "backbone": backbone,
+        **extra,
+    }
 
 
-def _engine_runner(config_factory, budget_arg: str):
-    """Wrap a MOHECOConfig classmethod into a method-registry runner.
-
-    The runner grows a ``validate_overrides`` attribute — the config build
-    without the run — so ``validate_run_spec`` can reject bad overrides at
-    submission time with a structured error instead of letting a queued job
-    trip the bare config assertion minutes later.
-    """
-
-    build = _config_builder(config_factory, budget_arg)
-
-    def runner(
-        problem,
-        *,
-        rng=None,
-        ledger=None,
-        callbacks=None,
-        engine=None,
-        cache=None,
-        **overrides,
-    ):
-        optimizer = MOHECO(
-            problem,
-            build(overrides),
-            ledger=ledger,
-            rng=rng,
-            callbacks=callbacks,
-            engine=engine,
-            cache=cache,
-        )
-        return optimizer.run()
-
-    runner.validate_overrides = build
-    return runner
-
-
-def _mf_runner():
-    """The ``moheco_mf`` runner: MOHECO stage 1 becomes a fidelity ladder.
-
-    Accepts every ``moheco`` override plus ``mf_params`` — the ladder knobs
-    ``{"eta", "r_min", "brackets"}`` (``R`` is pinned to the config's
-    ``n_max``).  ``validate_overrides`` builds both the config and the
-    ladder, so impossible schedules (``r_min`` above the fidelity ceiling,
-    a pilot the budget cannot cover) fail at spec validation; and
-    ``cache_defaults`` asks the API driver for sample-level cache keying —
-    a promoted candidate's low-rung rows replay for free when later rungs
-    and stage-2 promotions re-cover them.
-    """
-    from repro.mf import FidelityLadder, run_multi_fidelity
-
-    build = _config_builder(MOHECOConfig.moheco, "n_max")
-
-    def _check_mf_params(mf_params):
-        if mf_params is not None and not isinstance(mf_params, dict):
-            raise ValueError(
-                f"mf_params must be a dict of ladder knobs, got {mf_params!r}"
-            )
-
-    def runner(
-        problem,
-        *,
-        rng=None,
-        ledger=None,
-        callbacks=None,
-        engine=None,
-        cache=None,
-        mf_params=None,
-        **overrides,
-    ):
-        _check_mf_params(mf_params)
-        return run_multi_fidelity(
-            problem,
-            build(overrides),
-            mf_params=mf_params,
-            ledger=ledger,
-            rng=rng,
-            callbacks=callbacks,
-            engine=engine,
-            cache=cache,
-        )
-
-    def validate_overrides(overrides: dict) -> None:
-        overrides = dict(overrides)
-        mf_params = overrides.pop("mf_params", None)
-        _check_mf_params(mf_params)
-        config = build(overrides)
-        FidelityLadder.from_params(config.n_max, config.n0, mf_params)
-
-    runner.validate_overrides = validate_overrides
-    runner.cache_defaults = {"key": "sample"}
-    return runner
-
-
-def _described(runner, description: str):
-    """Attach the one-liner ``repro list methods`` prints."""
-    runner.description = description
-    return runner
-
-
-register_method(
-    "moheco",
-    _described(
-        _engine_runner(MOHECOConfig.moheco, "n_max"),
+#: name -> (method row, one-line description ``repro list methods`` prints).
+METHOD_TABLE = {
+    "moheco": (
+        _row("moheco"),
         "The paper's full algorithm: OCBA budget allocation + acceptance "
         "sampling + LHS + memetic Nelder-Mead local search",
     ),
-)
-register_method(
-    "oo_only",
-    _described(
-        _engine_runner(MOHECOConfig.oo_only, "n_max"),
+    "oo_only": (
+        _row("oo_only"),
         "Ablation: OCBA budget allocation without the memetic operators",
     ),
-)
-register_method(
-    "fixed_budget",
-    _described(
-        _engine_runner(MOHECOConfig.fixed_budget, "n_fixed"),
+    "fixed_budget": (
+        _row("fixed_budget"),
         "State-of-the-art Monte-Carlo baseline: n_fixed simulations per "
         "feasible candidate",
     ),
-)
-register_method(
-    "moheco_mf",
-    _described(
-        _mf_runner(),
+    "moheco_mf": (
+        _row("moheco", estimation="ladder"),
         "Multi-fidelity MOHECO: stage 1 climbs a Hyperband-style ladder "
         "over the MC sample count",
     ),
-)
+    "moheco_screened": (
+        _row("moheco", screener="surrogate"),
+        "MOHECO with a BagNet-style online surrogate pruning the trial "
+        "pool before simulation",
+    ),
+    "moheco_lineasy": (
+        _row("moheco", screener="none", proposer="line"),
+        "MOHECO with LinEasyBO-style 1-D-subspace trial proposals feeding "
+        "the memetic loop",
+    ),
+    "fixed_budget_screened": (
+        _row("fixed_budget", screener="surrogate"),
+        "Fixed-budget Monte-Carlo baseline with the surrogate screen in "
+        "front of the simulator",
+    ),
+}
+
+for _name, (_compose, _description) in METHOD_TABLE.items():
+    register_composed_method(_name, _compose, description=_description)
 
 
 @register_method("pswcd")
@@ -252,7 +149,3 @@ run_pswcd.description = (
     "Performance-specific worst-case-distance sizing baseline "
     "(section 3.4); best_yield is its pessimistic worst-case bound"
 )
-
-# Composed methods (repro/compose) register themselves on import, after the
-# plain entries above so their backbones already exist.
-import repro.compose.method  # noqa: E402,F401

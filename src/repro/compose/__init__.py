@@ -1,13 +1,13 @@
 """Config-composed optimization methods (RDGEMO-style).
 
-New methods are four-field configs — ``{screener, proposer, selection,
-backbone}`` — whose parts resolve by name from the :data:`SCREENERS` /
-:data:`PROPOSERS` / :data:`SELECTIONS` registries, so a new scenario in
-``repro list methods`` is ~10 lines of config rather than a driver.
+Every MOHECO-family method is a config row — ``{screener, proposer,
+selection, backbone}`` plus an optional ``estimation`` — whose parts
+resolve by name from the :data:`SCREENERS` / :data:`PROPOSERS` /
+:data:`SELECTIONS` registries, so a new scenario in ``repro list
+methods`` is ~10 lines of config rather than a driver.
 
-Importing this package registers the shipped composed methods
-(``moheco_screened``, ``moheco_lineasy``, ``fixed_budget_screened``) and
-the built-in parts.
+Importing this package registers the built-in parts; the built-in rows
+live in the method table of :mod:`repro.api.methods`.
 """
 
 from repro.compose.parts import (
@@ -26,12 +26,7 @@ from repro.compose.parts import (
     register_screener,
     register_selection,
 )
-from repro.compose.method import (
-    BACKBONES,
-    ComposedMOHECO,
-    register_composed_method,
-    run_composed,
-)
+from repro.compose.method import BACKBONES, register_composed_method
 from repro.compose.proposers import DEProposer, LineSubspaceProposer
 from repro.compose.screeners import NullScreener, SurrogateScreener
 
@@ -51,8 +46,6 @@ __all__ = [
     "list_selections",
     "make_screener",
     "make_proposer",
-    "ComposedMOHECO",
-    "run_composed",
     "register_composed_method",
     "NullScreener",
     "SurrogateScreener",

@@ -1,8 +1,8 @@
-"""Config-composed optimization methods.
+"""Method rows: every MOHECO-family method is one config row.
 
-A composed method is declared, not written: a four-field config names its
-parts and :func:`register_composed_method` turns it into a full method-
-registry entry —
+A method is declared, not written: a config row names its parts and
+:func:`register_composed_method` turns it into a full method-registry
+entry —
 
 ::
 
@@ -17,18 +17,24 @@ registry entry —
         description="...",
     )
 
-The parts resolve by name from :mod:`repro.compose.parts`; the backbone
-names a :class:`~repro.core.config.MOHECOConfig` factory, so every config
-override the backbone accepts (``pop_size``, ``n_max``, ...) works
-unchanged, plus the per-run ``screen_params`` dict for the screener.
+``proposer`` and ``selection`` resolve by name from
+:mod:`repro.compose.parts`; ``screener`` does too, or is ``None`` for a
+row without a screening stage.  The ``backbone`` names a
+:class:`~repro.core.config.MOHECOConfig` factory, so every config override
+the backbone accepts (``pop_size``, ``n_max``, ...) works unchanged.  An
+optional ``estimation`` (``"ocba"``, ``"fixed"``, ``"ladder"``) replaces
+the backbone's stage-1 policy and an optional ``proposer_params`` dict
+configures the proposer statically.
 
-:class:`ComposedMOHECO` is the one driver behind every config: a MOHECO
-subclass that swaps the three composable loop stages (`_propose_trials`,
-`_make_trials`, `_select`) for the named parts.  Screening happens in
-``_make_trials`` — *before* the step-3 feasibility check — so a pruned
-trial charges zero simulations; the ledger's ``pruned`` column counts
-them, and every decision is appended to ``MOHECOResult.screen_trace``
-(part of the result identity, bit-identical across engines and caches).
+Every row runs on the one driver, :class:`~repro.core.moheco.MOHECO`.
+Which per-run inputs a run accepts follows from the resolved row: the
+``screen_params`` dict exactly when the row has a screener, the
+``mf_params`` ladder knobs exactly when the estimation is ``"ladder"``
+(which also makes sample-level cache keying the default).  Screening
+happens *before* the step-3 feasibility check, so a pruned trial charges
+zero simulations; the ledger's ``pruned`` column counts them, and every
+decision is appended to ``MOHECOResult.screen_trace`` (part of the result
+identity, bit-identical across engines and caches).
 """
 
 from __future__ import annotations
@@ -38,28 +44,17 @@ import dataclasses
 import numpy as np
 
 from repro.api.registries import register_method
-from repro.compose.parts import (
-    get_selection,
-    make_proposer,
-    make_screener,
-    register_selection,
-)
+from repro.compose.parts import register_selection
 from repro.core.config import MOHECOConfig
-from repro.core.moheco import MOHECO, MOHECOResult
+from repro.core.moheco import MOHECO, resolve_parts
 from repro.core.state import Individual
 from repro.optim.constraints import deb_better
-from repro.rng import spawn
 
 # Part implementations register themselves on import.
 import repro.compose.proposers  # noqa: F401
 import repro.compose.screeners  # noqa: F401
 
-__all__ = [
-    "BACKBONES",
-    "ComposedMOHECO",
-    "run_composed",
-    "register_composed_method",
-]
+__all__ = ["BACKBONES", "register_composed_method"]
 
 #: Backbone name -> (MOHECOConfig factory, its budget-argument name).
 BACKBONES = {
@@ -69,6 +64,9 @@ BACKBONES = {
 }
 
 COMPOSE_FIELDS = ("screener", "proposer", "selection", "backbone")
+OPTIONAL_FIELDS = ("estimation", "proposer_params")
+#: Per-run inputs a row's parts take (accepted only when the part exists).
+PART_INPUTS = ("mf_params", "screen_params")
 
 
 # -- built-in selection rules ----------------------------------------------
@@ -90,11 +88,11 @@ def select_greedy(population: list[Individual], trials: list[Individual]) -> Non
 
 def _normalize_compose(compose: dict) -> dict:
     compose = dict(compose or {})
-    unknown = set(compose) - set(COMPOSE_FIELDS) - {"proposer_params"}
+    unknown = set(compose) - set(COMPOSE_FIELDS) - set(OPTIONAL_FIELDS)
     if unknown:
         raise ValueError(
             f"unknown compose field(s) {sorted(unknown)}; valid: "
-            f"{', '.join(COMPOSE_FIELDS)}, proposer_params"
+            f"{', '.join(COMPOSE_FIELDS + OPTIONAL_FIELDS)}"
         )
     missing = [field for field in COMPOSE_FIELDS if field not in compose]
     if missing:
@@ -104,23 +102,37 @@ def _normalize_compose(compose: dict) -> dict:
             f"unknown backbone {compose['backbone']!r}; valid: "
             f"{', '.join(sorted(BACKBONES))}"
         )
-    return compose
+    # The resolved row always names its estimation (the backbone's unless
+    # the row overrides it), in one canonical field order.
+    config_factory, _ = BACKBONES[compose["backbone"]]
+    compose.setdefault("estimation", config_factory().estimation)
+    return {
+        field: compose[field]
+        for field in COMPOSE_FIELDS + OPTIONAL_FIELDS
+        if field in compose
+    }
 
 
-def _backbone_builder(backbone: str):
-    """Overrides-dict -> validated ``MOHECOConfig`` for a backbone name.
+def _config_builder(compose: dict):
+    """Overrides-dict -> ``(MOHECOConfig, per-run part inputs)`` for a row.
 
-    Mirrors the semantics of the plain method entries: the backbone's
-    budget alias (``n_max``/``n_fixed``) routes to the factory, every
-    other override goes through ``with_overrides``, and unknown names
-    raise ``ValueError`` — surfaced as a structured ``SpecError`` by
-    spec validation.
+    The backbone's budget alias (``n_max``/``n_fixed``) routes to the
+    factory, so a config-field override that shadows the alias (e.g.
+    ``n_fixed=50, n_max=60``) wins instead of colliding; the row's
+    ``estimation`` and then every other override go through
+    ``with_overrides``.  ``mf_params`` and ``screen_params`` are split off
+    as the part inputs.  Bad overrides — unknown names, or values the
+    config rejects (e.g. a stage-1 budget that cannot cover the pilot
+    samples) — raise ``ValueError``, which spec validation
+    (:func:`repro.api.errors.validate_run_spec`) surfaces as a structured
+    :class:`~repro.api.errors.SpecError` at submission time.
     """
-    config_factory, budget_arg = BACKBONES[backbone]
+    config_factory, budget_arg = BACKBONES[compose["backbone"]]
     config_fields = {field.name for field in dataclasses.fields(MOHECOConfig)}
 
-    def build(overrides: dict) -> MOHECOConfig:
+    def build(overrides: dict) -> tuple[MOHECOConfig, dict]:
         overrides = dict(overrides)
+        inputs = {key: overrides.pop(key) for key in PART_INPUTS if key in overrides}
         factory_kwargs = (
             {budget_arg: overrides.pop(budget_arg)} if budget_arg in overrides else {}
         )
@@ -130,160 +142,41 @@ def _backbone_builder(backbone: str):
                 f"unknown config override(s) {sorted(unknown)}; valid fields: "
                 f"{', '.join(sorted(config_fields | {budget_arg}))}"
             )
-        return config_factory(**factory_kwargs).with_overrides(**overrides)
+        config = config_factory(**factory_kwargs).with_overrides(
+            **{"estimation": compose["estimation"], **overrides}
+        )
+        return config, inputs
 
     return build
-
-
-def _check_screen_params(screen_params) -> None:
-    if screen_params is not None and not isinstance(screen_params, dict):
-        raise ValueError(
-            f"screen_params must be a dict of screener knobs, got {screen_params!r}"
-        )
-
-
-class ComposedMOHECO(MOHECO):
-    """MOHECO with its composable loop stages swapped for named parts.
-
-    Parameters (on top of :class:`~repro.core.moheco.MOHECO`)
-    ---------------------------------------------------------
-    compose:
-        The ``{screener, proposer, selection, backbone}`` config (part
-        names; ``backbone`` is informational here — the caller resolves
-        it to the ``config`` argument).  An optional ``proposer_params``
-        dict configures the proposer statically.
-    screen_params:
-        Per-run screener knobs (validated by the screener constructor).
-
-    The screener's randomness comes from one stream spawned off the
-    optimizer RNG *at construction* — before any population draw — so its
-    decisions depend only on the seed and the engine-invariant estimation
-    results, never on backend, worker count or cache state.
-    """
-
-    def __init__(
-        self,
-        problem,
-        config: MOHECOConfig | None = None,
-        *,
-        compose: dict,
-        screen_params: dict | None = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(problem, config, **kwargs)
-        _check_screen_params(screen_params)
-        self.compose = _normalize_compose(compose)
-        self._screener = make_screener(
-            self.compose["screener"], screen_params, rng=spawn(self.rng)
-        )
-        self._proposer = make_proposer(
-            self.compose["proposer"], self.compose.get("proposer_params")
-        )
-        self._selection = get_selection(self.compose["selection"])
-        self._screen_trace = []
-        self._generation = 0
-
-    # -- composable stages --------------------------------------------------
-    def _propose_trials(
-        self, population: list[Individual], best_index: int
-    ) -> np.ndarray:
-        return self._proposer.propose(self, population, best_index)
-
-    def _make_trials(self, trial_xs: np.ndarray) -> list[Individual]:
-        """Screen, then feasibility-gate only the survivors.
-
-        Pruned rows become dead placeholder individuals (infeasible with
-        infinite violation, so no selection rule can ever adopt them)
-        that keep the trial list index-aligned with the population for
-        one-to-one selection.  They are charged to the ledger's
-        ``pruned`` column, not its simulation counters.
-        """
-        self._generation += 1
-        keep_mask, record = self._screener.screen(trial_xs, self._generation)
-        self._screen_trace.append(record)
-        n_pruned = int(np.count_nonzero(~keep_mask))
-        if n_pruned:
-            self.ledger.record_pruned(n_pruned)
-        kept = iter(self._new_individuals(trial_xs[keep_mask]))
-        trials = []
-        for keep, x in zip(keep_mask, trial_xs):
-            if keep:
-                trials.append(next(kept))
-            else:
-                placeholder = Individual(x, False, float("inf"), None)
-                placeholder.pruned = True
-                trials.append(placeholder)
-        return trials
-
-    def _estimate_population(self, individuals: list[Individual]):
-        """Estimate, then feed every *evaluated* candidate to the screener.
-
-        The gen-0 population and each generation's surviving trials both
-        pass through here, so the screener's training set is exactly what
-        the run has already paid to learn: feasible candidates with their
-        current yield estimate, infeasible ones as hard zeros.  Pruned
-        placeholders were never evaluated and are skipped.
-        """
-        report = super()._estimate_population(individuals)
-        for ind in individuals:
-            if getattr(ind, "pruned", False):
-                continue
-            self._screener.observe(ind.x, ind.yield_value if ind.feasible else 0.0)
-        return report
-
-    def _select(
-        self, population: list[Individual], trials: list[Individual]
-    ) -> None:
-        self._selection(population, trials)
-
-
-def run_composed(
-    problem,
-    config: MOHECOConfig | None = None,
-    *,
-    compose: dict,
-    screen_params: dict | None = None,
-    ledger=None,
-    rng=None,
-    callbacks=None,
-    engine=None,
-    cache=None,
-) -> MOHECOResult:
-    """Run one composed optimization (the imperative entry point)."""
-    return ComposedMOHECO(
-        problem,
-        config,
-        compose=compose,
-        screen_params=screen_params,
-        ledger=ledger,
-        rng=rng,
-        callbacks=callbacks,
-        engine=engine,
-        cache=cache,
-    ).run()
 
 
 def register_composed_method(
     name: str, compose: dict, description: str, *, overwrite: bool = False
 ):
-    """Turn a part config into a registered method (the ~10-line method).
+    """Turn a method row into a registered method.
 
     The produced runner carries the standard method-registry extras:
 
-    * ``validate_overrides`` — builds the backbone config *and*
-      instantiates the screener with the run's ``screen_params``, so bad
-      knobs fail at submission time as structured ``SpecError``s;
+    * ``validate_overrides`` — builds the config *and* the run's parts
+      with its ``mf_params``/``screen_params``, so bad knobs fail at
+      submission time as structured ``SpecError``s;
+    * ``cache_defaults`` — ``overrides -> dict`` of factory defaults for a
+      name-resolved cache: sample-level keying under the ladder, whose
+      promoted candidates replay their low-rung rows;
     * ``description`` — the one-liner ``repro list methods`` prints;
-    * ``compose_config`` — the config itself, for introspection and the
-      CLI's composed-config summary.
+    * ``compose_config`` — the row itself, for introspection and the
+      CLI's method table.
     """
     compose = _normalize_compose(compose)
-    build = _backbone_builder(compose["backbone"])
-    # Fail at registration time (not first run) if a part name is unknown
-    # or its static params are bad.
-    make_screener(compose["screener"], None, rng=0)
-    make_proposer(compose["proposer"], compose.get("proposer_params"))
-    get_selection(compose["selection"])
+    build = _config_builder(compose)
+
+    def validate_overrides(overrides: dict) -> None:
+        config, inputs = build(overrides)
+        resolve_parts(compose, config, rng=np.random.default_rng(0), **inputs)
+
+    # Fail at registration time (not first run) if a part name is unknown,
+    # the static proposer params are bad, or the row's config is.
+    validate_overrides({})
 
     def runner(
         problem,
@@ -293,74 +186,28 @@ def register_composed_method(
         callbacks=None,
         engine=None,
         cache=None,
-        screen_params=None,
         **overrides,
     ):
-        return run_composed(
+        config, inputs = build(overrides)
+        return MOHECO(
             problem,
-            build(overrides),
-            compose=compose,
-            screen_params=screen_params,
+            config,
             ledger=ledger,
             rng=rng,
             callbacks=callbacks,
             engine=engine,
             cache=cache,
-        )
+            method=compose,
+            **inputs,
+        ).run()
 
-    def validate_overrides(overrides: dict) -> None:
-        overrides = dict(overrides)
-        screen_params = overrides.pop("screen_params", None)
-        _check_screen_params(screen_params)
-        build(overrides)
-        make_screener(compose["screener"], screen_params, rng=0)
+    def cache_defaults(overrides: dict) -> dict:
+        config, _ = build(overrides)
+        return {"key": "sample"} if config.estimation == "ladder" else {}
 
     runner.validate_overrides = validate_overrides
+    runner.cache_defaults = cache_defaults
     runner.description = str(description)
     runner.compose_config = compose
     register_method(name, runner, overwrite=overwrite)
     return runner
-
-
-# -- the shipped composed methods ------------------------------------------
-register_composed_method(
-    "moheco_screened",
-    {
-        "screener": "surrogate",
-        "proposer": "de",
-        "selection": "one_to_one",
-        "backbone": "moheco",
-    },
-    description=(
-        "MOHECO with a BagNet-style online surrogate pruning the trial "
-        "pool before simulation"
-    ),
-)
-
-register_composed_method(
-    "moheco_lineasy",
-    {
-        "screener": "none",
-        "proposer": "line",
-        "selection": "one_to_one",
-        "backbone": "moheco",
-    },
-    description=(
-        "MOHECO with LinEasyBO-style 1-D-subspace trial proposals feeding "
-        "the memetic loop"
-    ),
-)
-
-register_composed_method(
-    "fixed_budget_screened",
-    {
-        "screener": "surrogate",
-        "proposer": "de",
-        "selection": "one_to_one",
-        "backbone": "fixed_budget",
-    },
-    description=(
-        "Fixed-budget Monte-Carlo baseline with the surrogate screen in "
-        "front of the simulator"
-    ),
-)

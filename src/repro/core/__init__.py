@@ -5,8 +5,9 @@
   97 %, local-search patience 5, stop patience 20).
 * :class:`MOHECO` — the two-stage memetic OO-based hybrid evolutionary
   constrained optimizer (Fig. 4 of the paper).
-* The same engine with ``use_ocba=False`` / ``use_memetic=False`` realises
-  the paper's comparison methods (see :mod:`repro.baselines`).
+* The same engine with ``estimation="fixed"`` / ``use_memetic=False``
+  realises the paper's comparison methods (the method table in
+  :mod:`repro.api.methods`).
 """
 
 from repro.core.callbacks import (

@@ -1,4 +1,4 @@
-"""The MOHECO algorithm (paper Fig. 4).
+"""The MOHECO algorithm (paper Fig. 4) — the one driver of every method.
 
 One engine implements the paper's method *and* its compared baselines via
 config switches:
@@ -11,10 +11,18 @@ OO + AS + LHS             ``MOHECOConfig.oo_only(n_max=500)``
 AS + LHS, N sims          ``MOHECOConfig.fixed_budget(n_fixed=N)``
 ========================  ==========================================
 
+Every registered MOHECO-family method is a *method row* on this driver
+(:func:`repro.compose.register_composed_method`): the row names the
+trial proposer, the optional screener and the selection rule, and the
+config's ``estimation`` field picks the stage-1 budget policy (``ocba``,
+``fixed`` or the multi-fidelity ``ladder`` of :mod:`repro.mf`).
+
 Flow per generation (paper steps 1-11):
 
 1. select the current best candidate (Deb's rules),
-2. DE mutation + crossover produce one trial per parent,
+2. the proposer (DE mutation + crossover by default) produces one trial
+   per parent; a screener, when the row has one, prunes trials before
+   any simulation is charged,
 3. nominal feasibility check per trial (1 simulation),
 4-7. feasible trials get yield estimates — OCBA-allocated in stage 1, the
      full ``n_max`` once promoted to stage 2 (estimated yield > 97 %);
@@ -39,6 +47,7 @@ from repro.core.history import GenerationRecord, OptimizationHistory
 from repro.core.state import Individual
 from repro.engine import EvaluationCache, EvaluationEngine, make_cache, make_engine
 from repro.ledger import SimulationLedger
+from repro.mf.estimation import LadderEstimation
 from repro.ocba.sequential import OCBAReport, ocba_sequential
 from repro.optim.constraints import deb_better
 from repro.optim.de import DifferentialEvolution
@@ -50,7 +59,12 @@ from repro.sampling.acceptance import LinearMarginScreener
 from repro.yieldsim import make_estimator
 from repro.yieldsim.estimator import YieldEstimate
 
-__all__ = ["MOHECO", "MOHECOResult"]
+__all__ = ["DEFAULT_ROW", "MOHECO", "MOHECOResult", "resolve_parts"]
+
+#: The part names of plain MOHECO; a method row overrides any of them.
+#: ``screener: None`` means no screening stage at all (no RNG stream, no
+#: ``screen_trace``), unlike the keep-all ``"none"`` screener part.
+DEFAULT_ROW = {"screener": None, "proposer": "de", "selection": "one_to_one"}
 
 
 @dataclass
@@ -77,16 +91,16 @@ class MOHECOResult:
     #: per-row cost, crossover cost, chosen backend); ``None`` for runs on
     #: a hard-coded backend.  Observational, like ``cache_stats``.
     engine_decision: dict | None = None
-    #: Per-generation ladder record of a multi-fidelity run
+    #: Per-generation ladder record of a run with ``estimation="ladder"``
     #: (:mod:`repro.mf`): bracket index, rung fidelities/gains, fused
     #: estimates and promotion decisions; ``None`` for single-fidelity
-    #: methods.  Unlike the observational fields above this is part of the
+    #: estimation.  Unlike the observational fields above this is part of the
     #: result *identity* — ladder decisions must be bit-identical across
     #: execution backends, worker counts and cache states.
     fidelity_trace: list | None = None
-    #: Per-generation screening record of a composed method
+    #: Per-generation screening record of a method row with a screener
     #: (:mod:`repro.compose`): surrogate refits, per-trial scores and
-    #: every prune/keep decision; ``None`` for methods without a screening
+    #: every prune/keep decision; ``None`` for rows without a screening
     #: stage.  Like ``fidelity_trace`` this is part of the result
     #: *identity*: prune decisions must be bit-identical across execution
     #: backends, worker counts and cache states.
@@ -161,6 +175,49 @@ class MOHECOResult:
         )
 
 
+def resolve_parts(
+    row: dict,
+    config: MOHECOConfig,
+    mf_params: dict | None = None,
+    screen_params: dict | None = None,
+    *,
+    rng: np.random.Generator,
+):
+    """Build one run's parts: ``(screener, proposer, selection, ladder)``.
+
+    ``screener`` is ``None`` for rows without one and ``ladder`` is
+    ``None`` unless ``config.estimation == "ladder"``.  The per-run inputs
+    are accepted exactly when their part exists: ``mf_params`` with the
+    ladder, ``screen_params`` with a screener.  Bad inputs raise
+    ``ValueError``, so spec validation can call this without a run.  The
+    screener's stream is spawned from ``rng`` — nothing else draws from it.
+    """
+    # Imported here: repro.compose registers its methods on this driver.
+    from repro.compose.parts import get_selection, make_proposer, make_screener
+
+    if mf_params is not None and config.estimation != "ladder":
+        raise ValueError(
+            f"mf_params apply only to estimation 'ladder'; this run's "
+            f"estimation is {config.estimation!r}"
+        )
+    screener = None
+    if row["screener"] is not None:
+        if screen_params is not None and not isinstance(screen_params, dict):
+            raise ValueError(
+                f"screen_params must be a dict of screener knobs, got "
+                f"{screen_params!r}"
+            )
+        screener = make_screener(row["screener"], screen_params, rng=spawn(rng))
+    elif screen_params is not None:
+        raise ValueError("screen_params apply only to method rows with a screener")
+    proposer = make_proposer(row["proposer"], row.get("proposer_params"))
+    selection = get_selection(row["selection"])
+    ladder = (
+        LadderEstimation(config, mf_params) if config.estimation == "ladder" else None
+    )
+    return screener, proposer, selection, ladder
+
+
 class MOHECO:
     """Memetic OO-based hybrid evolutionary constrained optimizer.
 
@@ -192,6 +249,22 @@ class MOHECO:
         ``None`` (the default) disables caching.  Under the default
         ledger-faithful accounting a cache never changes the seeded
         result or the simulation totals — only the wall-clock.
+    method:
+        The method row: part names for ``proposer``, ``screener`` and
+        ``selection`` (resolved from :mod:`repro.compose.parts`), plus an
+        optional ``proposer_params`` dict; missing keys fall back to
+        :data:`DEFAULT_ROW`.  Other keys (``backbone``, ``estimation``)
+        are the registry's config recipe and are ignored here.
+    mf_params:
+        Per-run ladder knobs; accepted only when the config's
+        ``estimation`` is ``"ladder"``.
+    screen_params:
+        Per-run screener knobs; accepted only when the row has a screener.
+
+    The screener's randomness comes from one stream spawned off the
+    optimizer RNG at construction — before any population draw — so its
+    decisions depend only on the seed and the engine-invariant estimation
+    results, never on backend, worker count or cache state.
     """
 
     def __init__(
@@ -203,6 +276,10 @@ class MOHECO:
         callbacks: Callback | list[Callback] | None = None,
         engine: EvaluationEngine | str | None = None,
         cache: EvaluationCache | str | None = None,
+        *,
+        method: dict | None = None,
+        mf_params: dict | None = None,
+        screen_params: dict | None = None,
     ) -> None:
         self.problem = problem
         self.config = config or MOHECOConfig()
@@ -220,12 +297,6 @@ class MOHECO:
         self._owns_cache = self.cache is not None and not isinstance(
             cache, EvaluationCache
         )
-        # Multi-fidelity subclasses (:mod:`repro.mf`) fill this with their
-        # per-generation ladder record; it rides onto the result as
-        # ``fidelity_trace``.  Composed subclasses (:mod:`repro.compose`)
-        # do the same with their screening record via ``screen_trace``.
-        self._fidelity_trace: list | None = None
-        self._screen_trace: list | None = None
         self.sampler = make_sampler(self.config.sampler, problem.variation)
         self.de = DifferentialEvolution(
             problem.space,
@@ -233,6 +304,14 @@ class MOHECO:
             cr=self.config.de_cr,
             variant=self.config.de_variant,
         )
+        row = {**DEFAULT_ROW, **(method or {})}
+        self._screener, self._proposer, self._selection, self._ladder = resolve_parts(
+            row, self.config, mf_params, screen_params, rng=self.rng
+        )
+        # Identity-bearing traces: ``None`` unless the part that writes
+        # them is present.
+        self._screen_trace = [] if self._screener is not None else None
+        self._fidelity_trace = self._ladder.trace if self._ladder is not None else None
 
     # -- candidate construction ------------------------------------------------
     def _attach_state(
@@ -311,12 +390,17 @@ class MOHECO:
             self.callbacks.on_stage2_promotion(self, ind)
 
     # -- population yield estimation (steps 4-7) ----------------------------------
-    def _estimate_population(self, individuals: list[Individual]) -> OCBAReport:
+    def _estimate_population(
+        self, individuals: list[Individual], generation: int
+    ) -> OCBAReport:
         feasible = [ind for ind in individuals if ind.feasible]
-        if not feasible:
-            return OCBAReport(counts=np.zeros(0, dtype=int), estimates=np.zeros(0), rounds=0)
-
-        if self.config.use_ocba:
+        if self._ladder is not None:
+            report = self._ladder.estimate(self, feasible, generation)
+        elif not feasible:
+            report = OCBAReport(
+                counts=np.zeros(0, dtype=int), estimates=np.zeros(0), rounds=0
+            )
+        elif self.config.estimation == "ocba":
             budget = self.config.sim_ave * len(feasible)
             report = ocba_sequential(
                 [ind.state for ind in feasible],
@@ -332,43 +416,55 @@ class MOHECO:
                     if ind.state.value >= self.config.stage2_threshold
                 ]
             )
-            return report
+        else:
+            # Fixed-budget baseline: everyone gets n_max outright, as one
+            # fused stage-2 round (and with promotion callbacks firing, same
+            # as the OCBA path).
+            self._promote_all(feasible)
+            report = OCBAReport(
+                counts=np.array([ind.n_samples for ind in feasible], dtype=int),
+                estimates=np.array([ind.yield_value for ind in feasible]),
+                rounds=1,
+            )
+        if self._screener is not None:
+            # The screener trains on exactly what the run has paid to learn:
+            # every evaluated candidate, infeasible ones as hard zeros.
+            # Pruned placeholders were never evaluated.
+            for ind in individuals:
+                if not getattr(ind, "pruned", False):
+                    self._screener.observe(
+                        ind.x, ind.yield_value if ind.feasible else 0.0
+                    )
+        return report
 
-        # Fixed-budget baseline: everyone gets n_max outright, as one fused
-        # stage-2 round (and with promotion callbacks firing, same as the
-        # OCBA path).
-        self._promote_all(feasible)
-        return OCBAReport(
-            counts=np.array([ind.n_samples for ind in feasible], dtype=int),
-            estimates=np.array([ind.yield_value for ind in feasible]),
-            rounds=1,
-        )
+    # -- screening (between steps 2 and 3) ------------------------------------------
+    def _make_trials(self, trial_xs: np.ndarray, generation: int) -> list[Individual]:
+        """Step 3: turn trial vectors into feasibility-gated individuals.
 
-    # -- composable loop stages (overridden by :mod:`repro.compose`) -----------
-    def _propose_trials(
-        self, population: list[Individual], best_index: int
-    ) -> np.ndarray:
-        """Step 2: one trial vector per parent (DE operators by default)."""
-        return self.de.propose(
-            np.array([ind.x for ind in population]), best_index, self.rng
-        )
-
-    def _make_trials(self, trial_xs: np.ndarray) -> list[Individual]:
-        """Step 3: turn trial vectors into individuals (feasibility-gated).
-
-        Composed methods interpose their screening stage here — pruned
-        trials never reach the feasibility check, so they charge zero
-        simulations.
+        A screener, when the row has one, runs first.  Pruned rows become
+        dead placeholder individuals (infeasible with infinite violation,
+        so no selection rule can ever adopt them) that keep the trial list
+        index-aligned with the population.  They never reach the
+        feasibility check: the ledger's ``pruned`` column counts them, not
+        its simulation counters.
         """
-        return self._new_individuals(trial_xs)
-
-    def _select(
-        self, population: list[Individual], trials: list[Individual]
-    ) -> None:
-        """Step 8: one-to-one selection, in place (trial wins ties)."""
-        for i, trial in enumerate(trials):
-            if not deb_better(population[i].fitness(), trial.fitness()):
-                population[i] = trial
+        if self._screener is None:
+            return self._new_individuals(trial_xs)
+        keep_mask, record = self._screener.screen(trial_xs, generation)
+        self._screen_trace.append(record)
+        n_pruned = int(np.count_nonzero(~keep_mask))
+        if n_pruned:
+            self.ledger.record_pruned(n_pruned)
+        kept = iter(self._new_individuals(trial_xs[keep_mask]))
+        trials = []
+        for keep, x in zip(keep_mask, trial_xs):
+            if keep:
+                trials.append(next(kept))
+            else:
+                placeholder = Individual(x, False, float("inf"), None)
+                placeholder.pruned = True
+                trials.append(placeholder)
+        return trials
 
     # -- selection helpers ------------------------------------------------------------
     @staticmethod
@@ -451,7 +547,7 @@ class MOHECO:
 
         xs = self.de.init_population(cfg.pop_size, self.rng)
         population = self._new_individuals(xs)
-        report = self._estimate_population(population)
+        report = self._estimate_population(population, 0)
         self._record(history, 0, population, report, ls_fired=False, extra=[])
         stop_requested = self.callbacks.on_generation_end(self, history[-1])
 
@@ -464,18 +560,17 @@ class MOHECO:
         remaining = range(1, cfg.max_generations + 1) if not stop_requested else []
 
         for generation in remaining:
-            # Steps 1-2: base-vector selection + trial proposal (DE
-            # operators by default; composed methods may swap the proposer).
+            # Steps 1-2: base-vector selection + trial proposal.
             best_index = self._best_index(population)
-            trial_xs = self._propose_trials(population, best_index)
+            trial_xs = self._proposer.propose(self, population, best_index)
 
             # Steps 3-7: (optional screening +) feasibility gate + staged
             # yield estimation.
-            trials = self._make_trials(trial_xs)
-            report = self._estimate_population(trials)
+            trials = self._make_trials(trial_xs, generation)
+            report = self._estimate_population(trials, generation)
 
-            # Step 8: one-to-one selection (trial wins ties, standard DE).
-            self._select(population, trials)
+            # Step 8: selection, in place (one-to-one by default).
+            self._selection(population, trials)
 
             # Steps 9-10: adaptive memetic local search.  A failed search
             # suppresses re-triggering until the incumbent changes: repeating

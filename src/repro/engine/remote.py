@@ -16,9 +16,7 @@ round's stacked performance matrix, so completion order cannot change the
 result.  Dispatch is pipelined with bounded in-flight backpressure — each
 worker serves at most ``max_in_flight`` chunks at a time, and a fast
 worker that finishes early immediately pulls the next chunk off the queue
-instead of waiting for the round's slowest peer (``dispatch="barrier"``
-keeps the wave-synchronized alternative for A/B measurement; see
-``benchmarks/test_bench_remote.py``).
+instead of waiting for the round's slowest peer.
 
 Failure semantics
 -----------------
@@ -61,8 +59,6 @@ from repro.engine.cache import CachedRound
 from repro.engine.wire import ChunkRequest, encode_problem, decode_array
 
 __all__ = ["RemoteEngine", "WorkerError", "normalize_worker_url"]
-
-DISPATCH_MODES = ("streaming", "barrier")
 
 
 class WorkerError(RuntimeError):
@@ -170,11 +166,6 @@ class RemoteEngine(EvaluationEngine):
     timeout_seconds:
         Per-chunk HTTP timeout; a worker that blows it is treated as dead
         for the round and its chunk is re-dispatched.
-    dispatch:
-        ``"streaming"`` (default) pipelines chunks with bounded in-flight
-        backpressure; ``"barrier"`` submits worker-count-sized waves and
-        waits for each wave to fully return — the round-barrier baseline
-        the benchmark A/Bs against.
     min_dispatch_rows:
         Rounds smaller than this many rows are evaluated in-parent (HTTP
         overhead would dominate).
@@ -194,7 +185,6 @@ class RemoteEngine(EvaluationEngine):
         chunk_rows: int = 64,
         max_in_flight: int = 2,
         timeout_seconds: float = 60.0,
-        dispatch: str = "streaming",
         min_dispatch_rows: int = 2,
         local_fallback: bool = True,
         health_timeout_seconds: float = 5.0,
@@ -203,15 +193,10 @@ class RemoteEngine(EvaluationEngine):
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-            )
         self.worker_urls = _parse_workers(workers)
         self.chunk_rows = int(chunk_rows)
         self.max_in_flight = int(max_in_flight)
         self.timeout_seconds = float(timeout_seconds)
-        self.dispatch = dispatch
         self.min_dispatch_rows = int(min_dispatch_rows)
         self.local_fallback = bool(local_fallback)
         self.health_timeout_seconds = float(health_timeout_seconds)
@@ -226,7 +211,6 @@ class RemoteEngine(EvaluationEngine):
         #: auto engine's commit record).
         self.decision: dict = {
             "engine": "remote",
-            "dispatch": dispatch,
             "workers": list(self.worker_urls),
             "chunk_rows": self.chunk_rows,
             "max_in_flight": self.max_in_flight,
@@ -405,45 +389,6 @@ class RemoteEngine(EvaluationEngine):
         for thread in threads:
             thread.join(timeout=self.timeout_seconds)
 
-    def _drain_barrier(self, live, state: _RoundState, chunks, payload) -> None:
-        """Wave-synchronized dispatch: the round-barrier baseline."""
-        while not state.done:
-            wave_live = [url for url in live if url not in self._dead]
-            if not wave_live:
-                return  # leftovers fall back locally
-            wave: list[tuple[str, int]] = []
-            for url in wave_live:
-                index = state.take()
-                if index is None:
-                    break
-                wave.append((url, index))
-            if not wave:
-                return
-
-            def _one(url: str, index: int) -> None:
-                try:
-                    rows, hit_rows = self._evaluate_on(url, chunks[index], payload)
-                except WorkerError:
-                    self._mark_dead(url)
-                    self.decision["re_dispatched"] += 1
-                    state.requeue(index)
-                    return
-                state.finish(index, rows)
-                stats = self.decision["per_worker"][url]
-                stats["chunks"] += 1
-                stats["rows"] += chunks[index].n_rows
-                stats["cache_hit_rows"] += hit_rows
-                self.decision["worker_cache_rows"] += hit_rows
-
-            threads = [
-                threading.Thread(target=_one, args=pair, daemon=True)
-                for pair in wave
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:  # the barrier
-                thread.join(timeout=self.timeout_seconds * 2)
-
     def _simulate_remote(self, problem, to_simulate) -> np.ndarray:
         token, payload = self._problem_wire(problem)
         block_chunks = _chunk_pending(to_simulate, self.chunk_rows)
@@ -453,10 +398,7 @@ class RemoteEngine(EvaluationEngine):
         state = _RoundState(len(chunks))
         live = self._live_workers()
         if live:
-            if self.dispatch == "streaming":
-                self._drain_streaming(live, state, chunks, payload)
-            else:
-                self._drain_barrier(live, state, chunks, payload)
+            self._drain_streaming(live, state, chunks, payload)
         leftovers = [i for i, rows in enumerate(state.results) if rows is None]
         if leftovers:
             if not self.local_fallback and not live:
@@ -506,5 +448,5 @@ class RemoteEngine(EvaluationEngine):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RemoteEngine(workers={len(self.worker_urls)}, "
-            f"dispatch={self.dispatch!r}, chunk_rows={self.chunk_rows})"
+            f"chunk_rows={self.chunk_rows})"
         )

@@ -1,13 +1,15 @@
 """Multi-fidelity successive-halving over the Monte-Carlo sample count.
 
-The subsystem behind the ``moheco_mf`` method: Hyperband-style bracket
-arithmetic (:class:`~repro.mf.ladder.FidelityLadder`), precision-weighted
-cross-rung yield fusion (:func:`~repro.mf.fusion.fuse_segments`), and the
-ladder-driven optimizer (:class:`~repro.mf.driver.MultiFidelityMOHECO` /
-:func:`~repro.mf.driver.run_multi_fidelity`).
+The subsystem behind the ``ladder`` estimation part (``moheco_mf``):
+Hyperband-style bracket arithmetic (:class:`~repro.mf.ladder.FidelityLadder`),
+precision-weighted cross-rung yield fusion
+(:func:`~repro.mf.fusion.fuse_segments`), and the per-generation ladder
+climb :class:`~repro.mf.estimation.LadderEstimation` that
+:class:`~repro.core.moheco.MOHECO` runs when
+``MOHECOConfig.estimation == "ladder"``.
 """
 
-from repro.mf.driver import MultiFidelityMOHECO, run_multi_fidelity
+from repro.mf.estimation import LadderEstimation
 from repro.mf.fusion import RungSegment, fuse_segments
 from repro.mf.ladder import MF_PARAM_KEYS, FidelityLadder
 
@@ -16,6 +18,5 @@ __all__ = [
     "MF_PARAM_KEYS",
     "RungSegment",
     "fuse_segments",
-    "MultiFidelityMOHECO",
-    "run_multi_fidelity",
+    "LadderEstimation",
 ]

@@ -1,12 +1,12 @@
-"""Multi-fidelity MOHECO: successive-halving ladders inside the DE loop.
+"""The ``ladder`` estimation part: successive halving inside the DE loop.
 
-:class:`MultiFidelityMOHECO` replaces the flat stage-1 OCBA pass with a
-:class:`~repro.mf.ladder.FidelityLadder` per generation: every feasible
-trial enters the bracket's cheap wide rung, each rung dispatches as
-**one fused refinement round** through the ordinary engine layer (serial,
-process, remote — all unchanged), OCBA allocates *within* a rung
-(:func:`~repro.ocba.allocation.rung_allocation`), and the top ``1/eta``
-by the precision-weighted cross-rung fusion
+With ``MOHECOConfig.estimation == "ladder"`` the flat stage-1 OCBA pass is
+replaced by a :class:`~repro.mf.ladder.FidelityLadder` per generation:
+every feasible trial enters the bracket's cheap wide rung, each rung
+dispatches as **one fused refinement round** through the ordinary engine
+layer (serial, process, remote — all unchanged), OCBA allocates *within* a
+rung (:func:`~repro.ocba.allocation.rung_allocation`), and the top
+``1/eta`` by the precision-weighted cross-rung fusion
 (:func:`~repro.mf.fusion.fuse_segments`) climb to the next fidelity.
 Survivors of the final rung sit at full stage-2 fidelity (``n_max``), so
 the surrounding loop — stage-2 promotion, memetic local search, stopping
@@ -25,40 +25,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.moheco import MOHECO, MOHECOResult
-from repro.core.state import Individual
 from repro.mf.fusion import RungSegment, fuse_segments
 from repro.mf.ladder import FidelityLadder
 from repro.ocba.allocation import rung_allocation
 from repro.ocba.sequential import OCBAReport
 
-__all__ = ["MultiFidelityMOHECO", "run_multi_fidelity"]
+__all__ = ["LadderEstimation"]
 
 
-class MultiFidelityMOHECO(MOHECO):
-    """MOHECO with ladder-scheduled stage-1 yield estimation.
+class LadderEstimation:
+    """Ladder-scheduled stage-1 yield estimation for one run.
 
-    Accepts everything :class:`~repro.core.moheco.MOHECO` accepts, plus
-    ``mf_params`` — the ladder knobs ``{"eta", "r_min", "brackets"}``
+    ``mf_params`` holds the ladder knobs ``{"eta", "r_min", "brackets"}``
     (see :meth:`FidelityLadder.from_params`; ``R`` is pinned to the
-    config's ``n_max``).
+    config's ``n_max``).  :attr:`trace` collects one entry per estimated
+    generation.
     """
 
-    def __init__(self, problem, config=None, *, mf_params=None, **kwargs) -> None:
-        super().__init__(problem, config, **kwargs)
-        self.ladder = FidelityLadder.from_params(
-            self.config.n_max, self.config.n0, mf_params
-        )
-        self._fidelity_trace = []
-        self._mf_generation = 0
+    def __init__(self, config, mf_params: dict | None = None) -> None:
+        if mf_params is not None and not isinstance(mf_params, dict):
+            raise ValueError(
+                f"mf_params must be a dict of ladder knobs, got {mf_params!r}"
+            )
+        self.ladder = FidelityLadder.from_params(config.n_max, config.n0, mf_params)
+        self.trace: list[dict] = []
 
-    # -- the ladder replaces the flat OCBA pass (steps 4-7) ------------------
-    def _estimate_population(self, individuals: list[Individual]) -> OCBAReport:
-        generation = self._mf_generation
-        self._mf_generation += 1
-        feasible = [ind for ind in individuals if ind.feasible]
+    def estimate(self, optimizer, feasible: list, generation: int) -> OCBAReport:
+        """Climb one bracket over ``feasible``, then promote as OCBA does."""
         if not feasible:
-            self._fidelity_trace.append(
+            self.trace.append(
                 {
                     "generation": int(generation),
                     "bracket": int(self.ladder.bracket_for(generation)),
@@ -71,13 +66,13 @@ class MultiFidelityMOHECO(MOHECO):
                 counts=np.zeros(0, dtype=int), estimates=np.zeros(0), rounds=0
             )
 
-        entry, rounds = self._run_ladder(feasible, generation)
-        self._fidelity_trace.append(entry)
-        self._promote_all(
+        entry, rounds = self._run_ladder(optimizer, feasible, generation)
+        self.trace.append(entry)
+        optimizer._promote_all(
             [
                 ind
                 for ind in feasible
-                if ind.state.value >= self.config.stage2_threshold
+                if ind.state.value >= optimizer.config.stage2_threshold
             ]
         )
         return OCBAReport(
@@ -87,7 +82,7 @@ class MultiFidelityMOHECO(MOHECO):
         )
 
     def _run_ladder(
-        self, feasible: list[Individual], generation: int
+        self, optimizer, feasible: list, generation: int
     ) -> tuple[dict, int]:
         """Climb one bracket; returns (trace entry, rung count).
 
@@ -119,7 +114,7 @@ class MultiFidelityMOHECO(MOHECO):
                     fidelity * len(members),
                 )
             if np.any(gains):
-                self._refine_round(
+                optimizer._refine_round(
                     states, [int(g) for g in gains], category="stage1"
                 )
             for index, state, prior in zip(members, states, before):
@@ -162,34 +157,3 @@ class MultiFidelityMOHECO(MOHECO):
             "ranking": [int(i) for i in ranking],
         }
         return entry, len(fidelities)
-
-
-def run_multi_fidelity(
-    problem,
-    config=None,
-    *,
-    mf_params: dict | None = None,
-    ledger=None,
-    rng=None,
-    callbacks=None,
-    engine=None,
-    cache=None,
-) -> MOHECOResult:
-    """Run one multi-fidelity optimization; the ``moheco_mf`` entry point.
-
-    A thin constructor-plus-``run()`` over :class:`MultiFidelityMOHECO`,
-    mirroring how the registered methods drive :class:`MOHECO`.  The
-    returned result carries the full ladder record on
-    ``MOHECOResult.fidelity_trace``.
-    """
-    optimizer = MultiFidelityMOHECO(
-        problem,
-        config,
-        mf_params=mf_params,
-        ledger=ledger,
-        rng=rng,
-        callbacks=callbacks,
-        engine=engine,
-        cache=cache,
-    )
-    return optimizer.run()

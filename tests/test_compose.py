@@ -33,17 +33,14 @@ from repro.compose import (
     PROPOSERS,
     SCREENERS,
     SELECTIONS,
-    ComposedMOHECO,
     NullScreener,
     SurrogateScreener,
     register_composed_method,
-    register_proposer,
     register_screener,
-    run_composed,
 )
 from repro.compose.method import select_greedy, select_one_to_one
 from repro.core.config import MOHECOConfig
-from repro.core.moheco import MOHECOResult
+from repro.core.moheco import MOHECO, MOHECOResult
 from repro.core.state import Individual
 from repro.ledger import SimulationLedger
 from repro.problems import make_problem
@@ -91,7 +88,15 @@ class TestPartRegistries:
         assert {"one_to_one", "greedy"} <= set(SELECTIONS.names())
 
     def test_composed_methods_registered(self):
-        for name in ("moheco_screened", "moheco_lineasy", "fixed_budget_screened"):
+        for name in (
+            "moheco",
+            "oo_only",
+            "fixed_budget",
+            "moheco_mf",
+            "moheco_screened",
+            "moheco_lineasy",
+            "fixed_budget_screened",
+        ):
             runner = METHODS.get(name)
             assert runner.description
             assert set(runner.compose_config) >= {
@@ -99,6 +104,7 @@ class TestPartRegistries:
                 "proposer",
                 "selection",
                 "backbone",
+                "estimation",
             }
 
     def test_unknown_part_lists_registered_names(self):
@@ -280,10 +286,10 @@ class TestProposers:
         return [Individual(x, True, 0.0, None) for x in xs]
 
     def _optimizer(self, compose):
-        return ComposedMOHECO(
+        return MOHECO(
             make_problem("quadratic"),
             MOHECOConfig.moheco(n_max=100),
-            compose=compose,
+            method=compose,
             rng=5,
         )
 
@@ -297,7 +303,7 @@ class TestProposers:
         a = self._optimizer(compose)
         b = self._optimizer(compose)
         population = self._population(a)
-        trials = a._propose_trials(population, 0)
+        trials = a._proposer.propose(a, population, 0)
         expected = b.de.propose(np.array([ind.x for ind in population]), 0, b.rng)
         np.testing.assert_array_equal(trials, expected)
 
@@ -312,7 +318,7 @@ class TestProposers:
         )
         population = self._population(optimizer)
         best_index = 2
-        trials = optimizer._propose_trials(population, best_index)
+        trials = optimizer._proposer.propose(optimizer, population, best_index)
         best = population[best_index].x
         lower, upper = optimizer.de.space.lower, optimizer.de.space.upper
         for trial in trials:
@@ -417,13 +423,13 @@ class TestComposedRun:
         assert identity["screen_trace"] == result.screen_trace
         assert identity["ledger"]["pruned"] == result.ledger.pruned
 
-    def test_run_composed_entry_point(self):
-        result = run_composed(
+    def test_direct_driver_with_method_row(self):
+        result = MOHECO(
             make_problem("quadratic"),
             MOHECOConfig.moheco(n_max=100).with_overrides(
                 pop_size=8, max_generations=3, n0=20
             ),
-            compose={
+            method={
                 "screener": "surrogate",
                 "proposer": "de",
                 "selection": "one_to_one",
@@ -431,7 +437,7 @@ class TestComposedRun:
             },
             screen_params=SCREEN,
             rng=3,
-        )
+        ).run()
         assert result.screen_trace
 
     def test_pruned_placeholder_never_enters_population(self):
@@ -440,6 +446,66 @@ class TestComposedRun:
         result = _run(screen_params={"min_train": 8, "keep_fraction": 0.3})
         assert np.isfinite(result.best_yield)
         assert result.best_estimate.n > 0
+
+
+class TestLadderWithScreener:
+    """A ladder and a screener combine as one row on the one driver."""
+
+    NAME = "moheco_mf_screened_test"
+    OVERRIDES = {
+        "pop_size": 10,
+        "max_generations": 8,
+        "use_memetic": False,
+        "screen_params": {"min_train": 10},
+    }
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        register_composed_method(
+            self.NAME,
+            {
+                "screener": "surrogate",
+                "proposer": "de",
+                "selection": "one_to_one",
+                "backbone": "moheco",
+                "estimation": "ladder",
+            },
+            description="test-only ladder + screener row",
+        )
+        try:
+            yield {
+                engine: optimize(
+                    "sphere",
+                    self.NAME,
+                    seed=5,
+                    engine=engine,
+                    problem_params={"sigma": 0.4},
+                    **self.OVERRIDES,
+                )
+                for engine in ("serial", "process")
+            }
+        finally:
+            METHODS.unregister(self.NAME)
+
+    def test_carries_both_traces(self, results):
+        result = results["serial"]
+        assert any(len(entry["rungs"]) >= 2 for entry in result.fidelity_trace)
+        assert any(rec["mode"] == "screened" for rec in result.screen_trace)
+
+    def test_engines_bit_identical(self, results):
+        serial, process = results["serial"], results["process"]
+        assert process.identity_dict() == serial.identity_dict()
+        assert process.fidelity_trace == serial.fidelity_trace
+        assert process.screen_trace == serial.screen_trace
+
+    def test_pruned_trials_charge_zero_simulations(self, results):
+        result = results["serial"]
+        kept = sum(len(rec["keep"]) for rec in result.screen_trace)
+        pruned = sum(len(rec["pruned"]) for rec in result.screen_trace)
+        assert pruned > 0
+        assert result.ledger.pruned == pruned
+        expected = self.OVERRIDES["pop_size"] + kept
+        assert result.ledger.count("feasibility") == expected
 
 
 class TestDeterminism:
@@ -503,6 +569,11 @@ class TestSpecValidation:
                 self._spec("moheco_lineasy", screen_params={"min_train": 8})
             )
 
+    def test_screen_params_only_with_a_screener(self):
+        for method in ("moheco", "moheco_mf"):
+            with pytest.raises(SpecError, match="rows with a screener"):
+                validate_run_spec(self._spec(method, screen_params={}))
+
     def test_unknown_config_override_still_rejected(self):
         with pytest.raises(SpecError, match="unknown config override"):
             validate_run_spec(self._spec(pop_sise=8))
@@ -536,6 +607,11 @@ class TestCLI:
         assert "screener=surrogate" in out
         assert "proposer=line" in out
         assert "BagNet-style" in out
+        # Every row prints in full, estimation included.
+        rows = [line for line in out.splitlines() if "backbone=" in line]
+        assert len(rows) == 7
+        assert all("estimation=" in line for line in rows)
+        assert "estimation=ladder" in out
 
     def test_run_with_screen_params(self, tmp_path, capsys):
         out = tmp_path / "result.json"

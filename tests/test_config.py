@@ -41,20 +41,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             MOHECOConfig(stage2_threshold=1.5)
 
+    def test_estimation_names(self):
+        for estimation in ("ocba", "fixed", "ladder"):
+            assert MOHECOConfig(estimation=estimation).estimation == estimation
+        with pytest.raises(ValueError, match="estimation must be one of"):
+            MOHECOConfig(estimation="bandit")
+
 
 class TestVariants:
     def test_moheco(self):
         config = MOHECOConfig.moheco(n_max=700)
-        assert config.use_ocba and config.use_memetic
+        assert config.estimation == "ocba" and config.use_memetic
         assert config.n_max == 700
 
     def test_oo_only(self):
         config = MOHECOConfig.oo_only()
-        assert config.use_ocba and not config.use_memetic
+        assert config.estimation == "ocba" and not config.use_memetic
 
     def test_fixed_budget(self):
         config = MOHECOConfig.fixed_budget(n_fixed=300)
-        assert not config.use_ocba and not config.use_memetic
+        assert config.estimation == "fixed" and not config.use_memetic
         assert config.n_max == 300
 
     def test_with_overrides_copies(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import run_fixed_budget, run_moheco
+from repro.api import optimize
 from repro.experiments import (
     ExperimentSettings,
     replicate_method,
@@ -28,7 +28,7 @@ def sphere_summary(tiny_settings):
     return replicate_method(
         problem,
         "MOHECO",
-        lambda p, **kw: run_moheco(p, pop_size=8, **kw),
+        lambda p, **kw: optimize(p, "moheco", pop_size=8, **kw),
         tiny_settings,
         base_seed=1,
     )
@@ -118,12 +118,12 @@ class TestMethodContrast:
         problem = make_sphere_problem(sigma=0.2)
         moheco = replicate_method(
             problem, "MOHECO",
-            lambda p, **kw: run_moheco(p, pop_size=8, **kw),
+            lambda p, **kw: optimize(p, "moheco", pop_size=8, **kw),
             tiny_settings, base_seed=2,
         )
         fixed = replicate_method(
             problem, "fixed500",
-            lambda p, **kw: run_fixed_budget(p, n_fixed=500, pop_size=8, **kw),
+            lambda p, **kw: optimize(p, "fixed_budget", n_fixed=500, pop_size=8, **kw),
             tiny_settings, base_seed=2,
         )
         assert np.mean(fixed.simulations()) > np.mean(moheco.simulations())

@@ -27,15 +27,13 @@ from repro.api import (
     validate_sweep_spec,
 )
 from repro.api.registries import METHODS
-from repro.core.moheco import MOHECOResult
+from repro.core.moheco import MOHECO, MOHECOResult
 from repro.engine.remote import RemoteEngine
 from repro.mf import (
     FidelityLadder,
     MF_PARAM_KEYS,
-    MultiFidelityMOHECO,
     RungSegment,
     fuse_segments,
-    run_multi_fidelity,
 )
 from repro.ocba.allocation import clamp_gains, rung_allocation
 from repro.service.worker import serve_worker
@@ -280,14 +278,12 @@ class TestMultiFidelityRun:
             max_generations=CONFIG["max_generations"],
             pop_size=CONFIG["pop_size"],
             n0=CONFIG["n0"],
+            estimation="ladder",
         )
-        direct = run_multi_fidelity(
-            make_problem("quadratic"), config, rng=CONFIG["seed"]
-        )
+        direct = MOHECO(make_problem("quadratic"), config, rng=CONFIG["seed"]).run()
         registry = _run_mf()
         assert direct.identity_dict() == registry.identity_dict()
-        assert METHODS.get("moheco_mf") is not None
-        assert MultiFidelityMOHECO.__mro__[1].__name__ == "MOHECO"
+        assert METHODS.get("moheco_mf").compose_config["estimation"] == "ladder"
 
 
 class TestLadderDeterminism:
@@ -333,6 +329,15 @@ class TestLadderDeterminism:
         result = _run_mf(cache="lru")
         assert result.identity_dict() == _run_mf().identity_dict()
         assert result.cache_stats is not None
+
+
+    def test_cache_key_default_follows_the_resolved_estimation(self):
+        ladder = METHODS.get("moheco_mf").cache_defaults
+        flat = METHODS.get("moheco").cache_defaults
+        assert ladder({}) == {"key": "sample"}
+        assert ladder({"estimation": "ocba"}) == {}
+        assert flat({}) == {}
+        assert flat({"estimation": "ladder"}) == {"key": "sample"}
 
 
 class TestSpecValidation:
@@ -399,6 +404,23 @@ class TestSpecValidation:
         with pytest.raises(SpecError) as excinfo:
             validate_sweep_spec(spec)
         assert excinfo.value.field == "methods[1].overrides"
+
+    def test_mf_params_only_with_the_ladder(self):
+        spec = RunSpec(
+            problem="quadratic",
+            method="moheco",
+            overrides={"mf_params": {"eta": 2}},
+        )
+        with pytest.raises(SpecError, match="apply only to estimation 'ladder'"):
+            validate_run_spec(spec)
+        # The same row with the ladder estimation accepts them.
+        validate_run_spec(
+            RunSpec(
+                problem="quadratic",
+                method="moheco",
+                overrides={"mf_params": {"eta": 2}, "estimation": "ladder"},
+            )
+        )
 
     def test_run_rejects_bad_overrides_too(self):
         # The same errors surface imperatively, without the spec layer.

@@ -3,7 +3,7 @@
 The load-bearing contract: a :class:`~repro.engine.remote.RemoteEngine`
 run is bit-identical (``MOHECOResult.identity_dict()``) to
 :class:`~repro.engine.serial.SerialEngine` for any worker count, chunk
-size, cache state (cold, warm, block- or sample-keyed), dispatch mode,
+size, cache state (cold, warm, block- or sample-keyed),
 and any injected worker failure — a mid-round death re-dispatches the
 dead worker's chunks and changes nothing but the dispatch stats.
 """
@@ -254,7 +254,7 @@ class TestEngineParams:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"chunk_rows": 0}, {"max_in_flight": 0}, {"dispatch": "psychic"}],
+        [{"chunk_rows": 0}, {"max_in_flight": 0}],
     )
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -301,16 +301,6 @@ class TestBitIdentity:
             **CONFIG,
         )
         assert result.identity_dict() == serial_identity
-
-    def test_barrier_dispatch_matches_serial(self, serial_identity, worker_pool):
-        urls = ",".join(w.url for w in worker_pool(2))
-        result = optimize(
-            engine="remote",
-            engine_params={"workers": urls, "dispatch": "barrier", "chunk_rows": 16},
-            **CONFIG,
-        )
-        assert result.identity_dict() == serial_identity
-        assert result.engine_decision["dispatch"] == "barrier"
 
     @pytest.mark.parametrize("key_mode", ["block", "sample"])
     def test_cold_and_warm_cache_match_serial(

@@ -1,7 +1,11 @@
 """Optimization service: spec errors, job manager, HTTP round-trips, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -390,6 +394,34 @@ class TestWorkerRegistry:
             )
         finally:
             worker.close()
+
+    def test_cli_worker_register_joins_the_fleet(self, tmp_path):
+        # `repro worker --register` must already be serving when it
+        # registers: the service health-probes it during the request.
+        server = serve("127.0.0.1", 0, workers=1, data_dir=str(tmp_path))
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--port", "0",
+             "--register", server.url],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            listening = worker.stdout.readline()
+            registered = worker.stdout.readline()
+            assert "registered with" in registered, listening + registered
+            url = listening.split("listening on ")[1].split()[0]
+            fleet = ServiceClient(server.url).workers()
+            assert {"url": url, "healthy": True} in fleet
+        finally:
+            worker.terminate()
+            worker.wait(timeout=10)
+            worker.stdout.close()
+            server.close()
 
     def test_result_conflict_carries_retry_after(self, service):
         job = service.submit_run(SLOW_RUN)
