@@ -1,8 +1,11 @@
 """Golden result identities of every built-in method on ``sphere``.
 
 ``tests/golden_identities.json`` stores the SHA-256 of the canonical-JSON
-``identity_dict()`` of each built-in method x 3 seeds.  A refactor of the
-method layer must leave every hash unchanged.
+``identity_dict()`` of each built-in method x 3 seeds, recorded on the
+default serial engine.  A refactor of the method or engine layer must
+leave every hash unchanged: the engine is one more input, and a few rows
+are re-run on every other backend (and on a warm cache) against the same
+serial hashes.
 
 Bit-identity is promised per host (numpy/scipy versions decide the float
 bits), so the hashes are compared only when the installed numpy and scipy
@@ -27,6 +30,7 @@ import pytest
 import scipy
 
 from repro.api import optimize
+from repro.engine import make_cache
 
 FIXTURE = Path(__file__).with_name("golden_identities.json")
 
@@ -48,6 +52,23 @@ METHODS = (
     "fixed_budget_screened",
     "pswcd",
 )
+#: Method rows re-run (seed 1) on every entry of ENGINE_RUNS.
+ENGINE_METHODS = ("moheco", "moheco_mf", "moheco_screened")
+#: Engine settings that must reproduce the serial hashes.  Zero IPC costs
+#: put the auto engine's crossover at 0, so it commits to the pool.
+ENGINE_RUNS = {
+    "legacy": {"engine": "legacy"},
+    "process": {"engine": "process", "engine_params": {"workers": 2}},
+    "auto_pool": {
+        "engine": "auto",
+        "engine_params": {
+            "workers": 2,
+            "ipc_row_cost_seconds": 0.0,
+            "round_overhead_seconds": 0.0,
+        },
+    },
+    "serial_warm_lru": {"engine": "serial", "cache": "warm"},
+}
 
 
 def identity_hash(result) -> str:
@@ -55,15 +76,34 @@ def identity_hash(result) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run(method: str, seed: int):
-    return optimize(
-        PROBLEM,
-        method,
-        seed=seed,
-        problem_params=PROBLEM_PARAMS,
-        **OVERRIDES,
-        **METHOD_OVERRIDES.get(method, {}),
-    )
+def run(method: str, seed: int, engine: str = "serial"):
+    """One golden run; ``engine`` names an ENGINE_RUNS entry (or serial).
+
+    The warm-cache entry runs twice on one LRU cache and returns the
+    second, fully replayed run.
+    """
+    settings = dict(ENGINE_RUNS.get(engine, {"engine": "serial"}))
+    warm = settings.pop("cache", None) == "warm"
+    if warm:
+        settings["cache"] = make_cache("lru")
+
+    def once():
+        return optimize(
+            PROBLEM,
+            method,
+            seed=seed,
+            problem_params=PROBLEM_PARAMS,
+            **settings,
+            **OVERRIDES,
+            **METHOD_OVERRIDES.get(method, {}),
+        )
+
+    if warm:
+        once()
+        result = once()
+        assert result.cache_stats["misses"] == 0
+        return result
+    return once()
 
 
 def versions() -> dict:
@@ -100,6 +140,22 @@ def test_identity_matches_golden(method, golden, results):
         assert identity_hash(results[method, seed]) == (
             golden["identities"][method][str(seed)]
         ), f"{method} seed {seed} changed its result identity"
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_RUNS))
+@pytest.mark.parametrize("method", ENGINE_METHODS)
+def test_identity_is_engine_invariant(method, engine, golden):
+    if golden["versions"] != versions():
+        pytest.skip(
+            f"fixture recorded with {golden['versions']}, this host has "
+            f"{versions()}; bit-identity is only promised per host"
+        )
+    result = run(method, 1, engine)
+    if engine == "auto_pool":
+        assert result.engine_decision["chosen"] == "process"
+    assert identity_hash(result) == golden["identities"][method]["1"], (
+        f"{method} seed 1 on {engine} left the serial result identity"
+    )
 
 
 def test_runs_exercise_their_slot(results):
