@@ -200,10 +200,7 @@ def test_circuit_priced_crossover():
     rows_per_round = N_CANDIDATES * CIRCUIT_ROUND_GAIN
     engines = {
         "serial": SerialEngine(),
-        "process_shm": ProcessPoolEngine(workers=CIRCUIT_WORKERS, transfer="shm"),
-        "process_pickle": ProcessPoolEngine(
-            workers=CIRCUIT_WORKERS, transfer="pickle"
-        ),
+        "process_shm": ProcessPoolEngine(workers=CIRCUIT_WORKERS),
     }
     results = {}
     try:
@@ -249,11 +246,7 @@ def test_circuit_priced_crossover():
         "speedup_process_vs_serial": {
             "shm": results["process_shm"]["sims_per_sec"]
             / serial["sims_per_sec"],
-            "pickle": results["process_pickle"]["sims_per_sec"]
-            / serial["sims_per_sec"],
         },
-        "speedup_shm_vs_pickle": results["process_shm"]["sims_per_sec"]
-        / results["process_pickle"]["sims_per_sec"],
     }
     _merge_bench("circuit", payload)
 
@@ -266,8 +259,7 @@ def test_circuit_priced_crossover():
         f"{pool_crossover * 1e6:.0f}us "
         f"({row_cost / pool_crossover:.1f}x above); "
         f"process-shm speedup "
-        f"{payload['speedup_process_vs_serial']['shm']:.2f}x "
-        f"(shm vs pickle {payload['speedup_shm_vs_pickle']:.2f}x)"
+        f"{payload['speedup_process_vs_serial']['shm']:.2f}x"
     )
 
     # The circuit workload must sit above the engine-selection crossover

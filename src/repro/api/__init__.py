@@ -91,7 +91,6 @@ from repro.engine import (
     EvaluationEngine,
     LegacyEngine,
     LRUEvaluationCache,
-    NullCache,
     ProcessPoolEngine,
     SerialEngine,
     make_cache,
@@ -183,7 +182,6 @@ __all__ = [
     # caches
     "EvaluationCache",
     "LRUEvaluationCache",
-    "NullCache",
     "CacheStats",
     "make_cache",
     # callbacks

@@ -118,10 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         help="warm-start evaluation cache for the refinement rounds: 'lru' "
         "(content-addressed LRU with a byte budget and an optional JSONL "
-        "spill file shared across runs) or 'null' (always-miss, for "
-        "overhead A/B).  Ledger-faithful by default: replayed rows are "
-        "still charged, so results and simulation totals match a "
-        "cache-off run",
+        "spill file shared across runs).  Replayed rows are still "
+        "charged, so results and simulation totals match a cache-off run",
     )
     run.add_argument(
         "--cache-param",
@@ -544,7 +542,7 @@ def _command_run(args: argparse.Namespace) -> int:
                 )
                 print(
                     f"engine[auto]: chose {decision['chosen']} "
-                    f"({decision['model']}: measured "
+                    f"(measured "
                     f"{decision['pilot_cost_seconds'] * 1e6:.0f}us/row vs "
                     f"crossover {crossover_text} at "
                     f"{decision['mean_rows_per_round']:.0f} rows/round, "

@@ -113,7 +113,7 @@ def optimize(
         the result is identical, only the wall-clock changes.
     cache / cache_params:
         Warm-start evaluation cache for the refinement rounds: a
-        cache-registry name (``"lru"``, ``"null"``; ``cache_params`` go to
+        cache-registry name (``"lru"``; ``cache_params`` go to
         its factory, e.g. ``max_bytes=..., spill_path=...``) or a ready
         :class:`~repro.engine.cache.EvaluationCache` instance shared
         across runs.  A cache argument overrides the spec's ``cache``

@@ -85,11 +85,10 @@ class RunSpec:
     engine_params:
         Keyword arguments for the engine factory (e.g. ``{"workers": 4}``).
     cache:
-        Warm-start evaluation-cache registry name (``"lru"``, ``"null"``);
-        ``None`` disables caching.  Under the default ledger-faithful
-        accounting a cache never changes the seeded result — it is a
-        deployment knob like ``engine`` — but ``count_hits=False`` in
-        ``cache_params`` changes the reported simulation totals.
+        Warm-start evaluation-cache registry name (``"lru"``); ``None``
+        disables caching.  A cache never changes the seeded result or the
+        reported simulation totals — it is a deployment knob like
+        ``engine``.
     cache_params:
         Keyword arguments for the cache factory (e.g. ``{"max_bytes":
         67108864, "spill_path": "cache.jsonl"}``).

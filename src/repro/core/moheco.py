@@ -245,9 +245,8 @@ class MOHECO:
         Warm-start evaluation cache for the refinement rounds — an
         :class:`~repro.engine.cache.EvaluationCache` instance (typically
         shared across runs of the same problem; that is the point) or a
-        name in :data:`repro.engine.CACHES` (``"lru"``, ``"null"``).
-        ``None`` (the default) disables caching.  Under the default
-        ledger-faithful accounting a cache never changes the seeded
+        name in :data:`repro.engine.CACHES` (``"lru"``).  ``None`` (the
+        default) disables caching.  A cache never changes the seeded
         result or the simulation totals — only the wall-clock.
     method:
         The method row: part names for ``proposer``, ``screener`` and

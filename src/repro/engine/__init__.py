@@ -19,6 +19,11 @@ decides *how* to execute it:
   hosts, pipelined with bounded in-flight backpressure and re-dispatch on
   worker death.
 
+Every backend except ``legacy`` runs the same round,
+:meth:`~repro.engine.base.EvaluationEngine.refine_round`, and implements
+only ``simulate(problem, blocks) -> rows``: how the round's cache-miss
+rows are simulated.  A third-party backend does the same.
+
 All backends are seed-reproducible against each other: sample draws stay in
 per-candidate RNG streams in the parent process, so only the *execution* of
 the simulations moves.  Engines resolve by name through :data:`ENGINES`
@@ -31,7 +36,7 @@ Any backend can additionally carry a **warm-start evaluation cache**
 ``RunSpec.cache`` / ``--cache``): rounds are partitioned into content-hash
 hits and misses in the parent, only the misses are simulated, and replayed
 rows are credited in the ledger's ``cached`` column without moving the
-paper-accounting totals.
+paper-accounting totals.  A cache never changes a run's result.
 """
 
 from repro.engine.auto import AutoEngine
@@ -41,7 +46,6 @@ from repro.engine.cache import (
     CacheStats,
     EvaluationCache,
     LRUEvaluationCache,
-    NullCache,
     make_cache,
 )
 from repro.engine.process import ProcessPoolEngine
@@ -60,7 +64,6 @@ __all__ = [
     "make_engine",
     "EvaluationCache",
     "LRUEvaluationCache",
-    "NullCache",
     "CacheStats",
     "CACHES",
     "make_cache",

@@ -15,13 +15,11 @@ Ledger faithfulness
 A cache hit is **not** free in paper accounting.  The tables count every
 Monte-Carlo sample the method *needed*, not every sample the machine
 *computed*; a warm-started run needed exactly as many as a cold one.  Hits
-are therefore still charged to the candidate's ledger category by default,
-and additionally recorded under the ledger's separate ``cached`` column
+are therefore still charged to the candidate's ledger category, and
+additionally recorded under the ledger's separate ``cached`` column
 (:meth:`repro.ledger.SimulationLedger.record_cached`) — mirroring how
 acceptance-sampling screening is reported without distorting the totals.
-Opting into ``count_hits=False`` makes hits free (only the ``cached``
-column moves), which *changes paper accounting* and is refused by the
-sweep layer for that reason.
+A cache therefore never changes a run's result or its reported totals.
 
 Keys and correctness
 --------------------
@@ -42,7 +40,8 @@ overlaps a previously simulated block *partially* (different OCBA
 allocations, different chunk boundaries on the remote engine) still
 replays its known rows and simulates only the genuinely new ones.  Sample
 keying trades per-row hashing overhead for strictly higher hit rates; both
-modes splice through :class:`CachedRound` and stay bit-identical to an
+modes splice through :class:`CachedRound` (built only by
+:func:`repro.engine.base.evaluate_round`) and stay bit-identical to an
 uncached run.
 """
 
@@ -69,7 +68,6 @@ __all__ = [
     "CacheStats",
     "EvaluationCache",
     "LRUEvaluationCache",
-    "NullCache",
     "CachedRound",
     "CACHES",
     "KEY_MODES",
@@ -157,7 +155,7 @@ class CacheStats:
 
 
 class EvaluationCache:
-    """Base class: key derivation, stats accounting, accounting policy.
+    """Base class: key derivation and stats accounting.
 
     Subclasses implement ``_get(key)`` / ``_put(key, rows)``.  Caches are
     resolved by name through :data:`CACHES` (``RunSpec.cache``,
@@ -167,12 +165,6 @@ class EvaluationCache:
 
     Parameters
     ----------
-    count_hits:
-        ``True`` (default) keeps paper accounting intact: replayed rows
-        are still charged to the candidate's ledger category, and also
-        recorded under the ledger's ``cached`` column.  ``False`` makes
-        hits free — only the ``cached`` column moves — which changes the
-        reported simulation totals.
     namespace:
         Free-form string folded into every key; the API driver sets it to
         the resolved problem name + factory parameters.
@@ -185,15 +177,9 @@ class EvaluationCache:
 
     name = "base"
 
-    def __init__(
-        self,
-        count_hits: bool = True,
-        namespace: str = "",
-        key: str = "block",
-    ) -> None:
+    def __init__(self, namespace: str = "", key: str = "block") -> None:
         if key not in KEY_MODES:
             raise ValueError(f"key must be one of {KEY_MODES}, got {key!r}")
-        self.count_hits = bool(count_hits)
         self.namespace = str(namespace)
         self.key_mode = key
         self.stats = CacheStats()
@@ -261,7 +247,7 @@ class LRUEvaluationCache(EvaluationCache):
         killed process leaves at most one torn line behind, which the next
         load drops with a warning.  Concurrent appenders are tolerated on
         the same best-effort basis.
-    count_hits / namespace / key:
+    namespace / key:
         See :class:`EvaluationCache`.
 
     Storage operations take an internal lock, so one instance may be
@@ -277,11 +263,10 @@ class LRUEvaluationCache(EvaluationCache):
         self,
         max_bytes: int | None = 256 * 2**20,
         spill_path=None,
-        count_hits: bool = True,
         namespace: str = "",
         key: str = "block",
     ) -> None:
-        super().__init__(count_hits=count_hits, namespace=namespace, key=key)
+        super().__init__(namespace=namespace, key=key)
         if max_bytes is not None and int(max_bytes) < 0:
             raise ValueError(f"max_bytes must be >= 0 or None, got {max_bytes}")
         self.max_bytes = None if max_bytes is None else int(max_bytes)
@@ -410,30 +395,14 @@ class LRUEvaluationCache(EvaluationCache):
             self._spill_handle = None
 
 
-class NullCache(EvaluationCache):
-    """A cache that never remembers: every lookup misses, puts are dropped.
-
-    Useful to A/B the pure cache-layer overhead (keying + partition) with
-    no behaviour change, and as an explicit "caching off" spec value that
-    still exercises the cached dispatch path.
-    """
-
-    name = "null"
-
-    def _get(self, key: str) -> np.ndarray | None:
-        return None
-
-    def _put(self, key: str, rows: np.ndarray) -> None:
-        return None
-
-
 class CachedRound:
     """One refinement round partitioned into cache hits and misses.
 
-    Engines build this from the round's pending blocks, evaluate only
-    :attr:`misses` (stacked, chunked across workers — however the backend
-    likes), then call :meth:`assemble` to splice the simulated rows back
-    into full block order and memoize them.  The partition is computed in
+    :func:`~repro.engine.base.evaluate_round` builds this from the round's
+    pending blocks, has the engine simulate only :attr:`misses` (stacked,
+    chunked across workers — however the backend likes), then calls
+    :meth:`assemble` to splice the simulated rows back into full block
+    order and memoize them.  The partition is computed in
     the parent process before any dispatch, so it is deterministic for
     every backend and worker count.
 
@@ -532,7 +501,6 @@ class CachedRound:
 #: Name -> evaluation-cache class; the API layer resolves through it.
 CACHES: Registry = Registry("cache")
 CACHES.register("lru", LRUEvaluationCache)
-CACHES.register("null", NullCache)
 
 
 def make_cache(kind, **kwargs) -> EvaluationCache | None:

@@ -8,28 +8,26 @@ and simulates the chunks on a pool of worker processes.
 
 Zero-copy transfer
 ------------------
-With the default ``transfer="shm"`` the round's numeric payload crosses
-the process boundary through one :class:`multiprocessing.shared_memory`
-block created per round: the parent packs the per-block design vectors and
-the stacked sample matrix into the block once, and each worker receives
-only a tiny descriptor — ``(shm_name, shapes, block offsets)`` — from
-which it reconstructs zero-copy NumPy views.  Nothing per-sample is ever
-pickled on the way in; the pool stays warm across rounds (it is only
-rebuilt when the problem object changes), so steady-state round cost is
-descriptor pickling + the simulations themselves.  ``transfer="pickle"``
-keeps the legacy behaviour of shipping ``(designs, samples)`` chunks
-through the call pickle, and is also the automatic fallback on platforms
-where POSIX shared memory is unavailable.
+The round's numeric payload crosses the process boundary through one
+:class:`multiprocessing.shared_memory` block created per round: the parent
+packs the per-block design vectors and the stacked sample matrix into the
+block once, and each worker receives only a tiny descriptor —
+``(shm_name, shapes, block offsets)`` — from which it reconstructs
+zero-copy NumPy views.  Nothing per-sample is ever pickled on the way in;
+the pool stays warm across rounds (it is only rebuilt when the problem
+object changes), so steady-state round cost is descriptor pickling + the
+simulations themselves.  Where POSIX shared memory cannot be allocated,
+the round falls back to shipping ``(designs, samples)`` chunks through the
+call pickle.
 
 Determinism
 -----------
 Workers are *pure*: they receive chunk descriptors (or pickled chunks) and
 return performance rows.  All RNG streams, screener state and ledger
-accounting stay in the parent; the block partition and chunk boundaries do
-not depend on the transfer mechanism; and chunk results are reassembled in
-submission order — so a run is bit-for-bit reproducible for any worker
-count and either transfer, including ``workers=1`` and the in-process
-:class:`~repro.engine.serial.SerialEngine`.
+accounting stay in the parent; chunk boundaries do not depend on the
+transfer mechanism; and chunk results are reassembled in submission order
+— so a run is bit-for-bit reproducible for any worker count, including
+``workers=1`` and the in-process :class:`~repro.engine.serial.SerialEngine`.
 
 The problem object is shipped to each worker once, at pool start-up (via
 the initializer, which under the default ``fork`` start method costs no
@@ -45,17 +43,9 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.engine.base import (
-    EvaluationEngine,
-    collect_pending,
-    evaluate_pending,
-    scatter_round,
-)
-from repro.engine.cache import CachedRound
+from repro.engine.base import EvaluationEngine, chunk_blocks, evaluate_pending
 
 __all__ = ["ProcessPoolEngine", "make_process_pool", "pool_mp_context", "ShmRound"]
-
-TRANSFERS = ("shm", "pickle")
 
 
 def make_process_pool(workers: int, **kwargs) -> ProcessPoolExecutor:
@@ -92,7 +82,7 @@ def _init_worker(problem) -> None:
 
 
 def _evaluate_chunk(pending) -> np.ndarray:
-    """Simulate one pickled chunk of pending blocks (legacy transfer)."""
+    """Simulate one pickled chunk of pending blocks (no-shm fallback)."""
     return evaluate_pending(_WORKER_PROBLEM, pending)
 
 
@@ -135,22 +125,6 @@ def _evaluate_shm_chunk(descriptor) -> np.ndarray:
             shm.close()
         except BufferError:  # pragma: no cover - evaluator kept a view alive
             pass  # mapping lives until GC drops the view; unlink still reclaims
-
-
-def _chunk_blocks(pending, n_chunks: int) -> list[list]:
-    """Split blocks into up to ``n_chunks`` contiguous, row-balanced chunks."""
-    total_rows = sum(block.n_samples for block in pending)
-    target = max(1, -(-total_rows // n_chunks))  # ceil division
-    chunks, current, rows = [], [], 0
-    for block in pending:
-        current.append(block)
-        rows += block.n_samples
-        if rows >= target and len(chunks) < n_chunks - 1:
-            chunks.append(current)
-            current, rows = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 class ShmRound:
@@ -229,12 +203,6 @@ class ProcessPoolEngine(EvaluationEngine):
         local — on circuit problems even a small promotion round is worth
         shipping; raise it when each simulation is cheap enough that IPC
         would dominate.
-    transfer:
-        ``"shm"`` (default) stages each round's arrays in one shared-memory
-        block and ships only offset descriptors to the workers;
-        ``"pickle"`` ships ``(designs, samples)`` chunks through the call
-        pickle.  ``"shm"`` silently downgrades to ``"pickle"`` if the
-        platform cannot allocate POSIX shared memory.
     """
 
     name = "process"
@@ -243,17 +211,11 @@ class ProcessPoolEngine(EvaluationEngine):
         self,
         workers: int | None = None,
         min_dispatch_rows: int = 2,
-        transfer: str = "shm",
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if transfer not in TRANSFERS:
-            raise ValueError(
-                f"transfer must be one of {TRANSFERS}, got {transfer!r}"
-            )
         self.workers = workers if workers is not None else min(os.cpu_count() or 1, 8)
         self.min_dispatch_rows = int(min_dispatch_rows)
-        self.transfer = transfer
         self._pool: ProcessPoolExecutor | None = None
         self._pool_problem = None
 
@@ -276,66 +238,36 @@ class ProcessPoolEngine(EvaluationEngine):
             self._pool_problem = None
 
     # -- dispatch ----------------------------------------------------------
-    def _simulate_sharded(self, problem, to_simulate) -> np.ndarray:
-        """Evaluate miss blocks on the pool; returns stacked rows."""
+    def simulate(self, problem, blocks) -> np.ndarray:
+        total_rows = sum(block.n_samples for block in blocks)
+        if self.workers == 1 or total_rows < self.min_dispatch_rows:
+            return evaluate_pending(problem, blocks)
         pool = self._ensure_pool(problem)
-        chunks = _chunk_blocks(to_simulate, self.workers)
-        if self.transfer == "shm":
-            try:
-                staged = ShmRound(to_simulate)
-            except OSError:  # pragma: no cover - no POSIX shm on platform
-                self.transfer = "pickle"
-            else:
-                with staged:
-                    futures = [
-                        pool.submit(
-                            _evaluate_shm_chunk, staged.chunk_descriptor(chunk)
-                        )
-                        for chunk in chunks
-                    ]
-                    return np.concatenate(
-                        [future.result() for future in futures]
-                    )
-        # Workers must not drag parent-side state (RNGs, ledgers,
-        # screeners) through the queue: ship bare (x, samples) shells.
-        futures = [
-            pool.submit(_evaluate_chunk, [_strip(block) for block in chunk])
-            for chunk in chunks
-        ]
-        return np.concatenate([future.result() for future in futures])
-
-    # -- rounds ------------------------------------------------------------
-    def refine_round(self, problem, states, gains, category=None):
-        pending = collect_pending(states, gains, category)
-        if not pending:
-            return
-        # The cache partition happens in the parent, before any dispatch:
-        # hit blocks never cross the pool boundary at all, and the chunking
-        # below sees only the miss blocks — block boundaries stay intact,
-        # and the partition is identical for every worker count.
-        round_ = None
-        to_simulate = pending
-        if self.cache is not None:
-            round_ = CachedRound(self.cache, problem, pending)
-            to_simulate = round_.misses
-        total_rows = sum(block.n_samples for block in to_simulate)
-        if not to_simulate:
-            performance = None
-        elif self.workers == 1 or total_rows < self.min_dispatch_rows:
-            performance = evaluate_pending(problem, to_simulate)
-        else:
-            performance = self._simulate_sharded(problem, to_simulate)
-        if round_ is None:
-            scatter_round(problem, pending, performance)
-        else:
-            performance = round_.assemble(performance)
-            scatter_round(problem, pending, performance, round_.hit_rows, self.cache)
+        chunks = chunk_blocks(blocks, -(-total_rows // self.workers), self.workers)
+        try:
+            staged = ShmRound(blocks)
+        except OSError:
+            # No POSIX shared memory here: ship bare (x, samples) shells
+            # through the call pickle — never parent-side state (RNGs,
+            # ledgers, screeners).
+            return _gather(
+                pool, _evaluate_chunk, [[_strip(b) for b in chunk] for chunk in chunks]
+            )
+        with staged:
+            return _gather(
+                pool,
+                _evaluate_shm_chunk,
+                [staged.chunk_descriptor(chunk) for chunk in chunks],
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessPoolEngine(workers={self.workers}, "
-            f"transfer={self.transfer!r})"
-        )
+        return f"ProcessPoolEngine(workers={self.workers})"
+
+
+def _gather(pool: ProcessPoolExecutor, fn, payloads) -> np.ndarray:
+    """Submit every chunk, then stack the results in submission order."""
+    futures = [pool.submit(fn, payload) for payload in payloads]
+    return np.concatenate([future.result() for future in futures])
 
 
 class _BareState:

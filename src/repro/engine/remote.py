@@ -49,13 +49,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.engine.base import (
-    EvaluationEngine,
-    collect_pending,
-    evaluate_pending,
-    scatter_round,
-)
-from repro.engine.cache import CachedRound
+from repro.engine.base import EvaluationEngine, chunk_blocks, evaluate_pending
 from repro.engine.wire import ChunkRequest, encode_problem, decode_array
 
 __all__ = ["RemoteEngine", "WorkerError", "normalize_worker_url"]
@@ -90,26 +84,6 @@ def _parse_workers(workers) -> list[str]:
             "(engine_params={'workers': 'host:port,...'})"
         )
     return urls
-
-
-def _chunk_pending(pending, chunk_rows: int) -> list[list]:
-    """Split blocks into contiguous chunks of roughly ``chunk_rows`` rows.
-
-    Block boundaries are respected (grouped evaluator dispatch stays
-    intact); a block larger than ``chunk_rows`` forms its own chunk.  The
-    chunk list — not the worker set — is the unit of re-dispatch, so its
-    boundaries must not depend on which workers are alive.
-    """
-    chunks, current, rows = [], [], 0
-    for block in pending:
-        current.append(block)
-        rows += block.n_samples
-        if rows >= chunk_rows:
-            chunks.append(current)
-            current, rows = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 class _RoundState:
@@ -389,12 +363,17 @@ class RemoteEngine(EvaluationEngine):
         for thread in threads:
             thread.join(timeout=self.timeout_seconds)
 
-    def _simulate_remote(self, problem, to_simulate) -> np.ndarray:
+    def simulate(self, problem, blocks) -> np.ndarray:
+        # The shared round has already replayed cache hits in the parent:
+        # hit rows never cross the wire, and chunk boundaries see only the
+        # miss rows, identically for every worker set.
+        total_rows = sum(block.n_samples for block in blocks)
+        if total_rows < self.min_dispatch_rows:
+            self.decision["local_rows"] += total_rows
+            return evaluate_pending(problem, blocks)
         token, payload = self._problem_wire(problem)
-        block_chunks = _chunk_pending(to_simulate, self.chunk_rows)
-        chunks = [
-            ChunkRequest.from_pending(token, blocks) for blocks in block_chunks
-        ]
+        block_chunks = chunk_blocks(blocks, self.chunk_rows)
+        chunks = [ChunkRequest.from_pending(token, chunk) for chunk in block_chunks]
         state = _RoundState(len(chunks))
         live = self._live_workers()
         if live:
@@ -417,33 +396,6 @@ class RemoteEngine(EvaluationEngine):
         self.decision["chunks"] += len(chunks)
         self.decision["rows"] += sum(chunk.n_rows for chunk in chunks)
         return np.concatenate(state.results)
-
-    # -- rounds ------------------------------------------------------------
-    def refine_round(self, problem, states, gains, category=None):
-        pending = collect_pending(states, gains, category)
-        if not pending:
-            return
-        # The cache partition happens in the parent before any dispatch —
-        # hit rows never cross the wire, and chunk boundaries see only the
-        # miss rows, identically for every worker set.
-        round_ = None
-        to_simulate = pending
-        if self.cache is not None:
-            round_ = CachedRound(self.cache, problem, pending)
-            to_simulate = round_.misses
-        total_rows = sum(block.n_samples for block in to_simulate)
-        if not to_simulate:
-            performance = None
-        elif total_rows < self.min_dispatch_rows:
-            performance = evaluate_pending(problem, to_simulate)
-            self.decision["local_rows"] += total_rows
-        else:
-            performance = self._simulate_remote(problem, to_simulate)
-        if round_ is None:
-            scatter_round(problem, pending, performance)
-        else:
-            performance = round_.assemble(performance)
-            scatter_round(problem, pending, performance, round_.hit_rows, self.cache)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

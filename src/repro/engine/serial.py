@@ -12,13 +12,7 @@ path (see ``benchmarks/test_bench_engine.py``).
 
 from __future__ import annotations
 
-from repro.engine.base import (
-    EvaluationEngine,
-    collect_pending,
-    evaluate_pending,
-    scatter_round,
-)
-from repro.engine.cache import CachedRound
+from repro.engine.base import EvaluationEngine
 
 __all__ = ["SerialEngine"]
 
@@ -26,23 +20,11 @@ __all__ = ["SerialEngine"]
 class SerialEngine(EvaluationEngine):
     """Default backend: fused rounds, evaluated in-process.
 
-    With a warm-start cache attached the round is partitioned first: the
-    miss blocks form one (smaller) stacked dispatch, hit blocks replay
-    their memoized rows, and the splice preserves block order — so the
-    absorbed estimates are bit-identical to the cache-off path.
+    This is the shared round of :class:`EvaluationEngine` with its default
+    in-process ``simulate``.  With a warm-start cache attached the miss
+    blocks form one (smaller) stacked dispatch, hit blocks replay their
+    memoized rows, and the splice preserves block order — so the absorbed
+    estimates are bit-identical to the cache-off path.
     """
 
     name = "serial"
-
-    def refine_round(self, problem, states, gains, category=None):
-        pending = collect_pending(states, gains, category)
-        if not pending:
-            return
-        if self.cache is None:
-            performance = evaluate_pending(problem, pending)
-            scatter_round(problem, pending, performance)
-            return
-        round_ = CachedRound(self.cache, problem, pending)
-        missed = evaluate_pending(problem, round_.misses) if round_.misses else None
-        performance = round_.assemble(missed)
-        scatter_round(problem, pending, performance, round_.hit_rows, self.cache)

@@ -23,11 +23,12 @@ Design notes
   equality checks.
 * Warm-start caching replays performance rows the run (or a previous run)
   already computed.  Replayed rows are recorded under the separate
-  ``cached`` column; under the default ledger-faithful accounting they are
-  *still* charged to their category — the method needed those samples, the
-  machine just did not recompute them — so :attr:`SimulationLedger.total`
-  matches a cache-off run exactly.  Only the explicit
-  ``count_hits=False`` cache mode skips the charge.
+  ``cached`` column and *still* charged to their category — the method
+  needed those samples, the machine just did not recompute them — so
+  :attr:`SimulationLedger.total` matches a cache-off run exactly.  Every
+  engine round checks this conservation rule at run time: rows charged
+  equal rows simulated plus rows replayed
+  (:meth:`repro.engine.base.EvaluationEngine.refine_round`).
 * Categories let experiments break the total down (stage-1 OCBA sims,
   stage-2 max-N sims, feasibility checks, local search, reference MC).  The
   *reference* category is excluded from :attr:`total` because the paper's

@@ -52,8 +52,8 @@ import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.engine.base import evaluate_pending
-from repro.engine.cache import CachedRound, EvaluationCache, LRUEvaluationCache
+from repro.engine.base import evaluate_pending, evaluate_round
+from repro.engine.cache import EvaluationCache, LRUEvaluationCache
 from repro.engine.wire import ChunkRequest, decode_problem, encode_array
 
 __all__ = ["WorkerServer", "serve_worker"]
@@ -134,18 +134,10 @@ class WorkerServer(ThreadingHTTPServer):
             problem = self.problems.get(chunk.problem_token)
         if problem is None:
             return None
-        pending = chunk.to_pending()
-        if self.cache is None:
-            rows, hit_rows = evaluate_pending(problem, pending), 0
-        else:
-            round_ = CachedRound(self.cache, problem, pending)
-            missed = (
-                evaluate_pending(problem, round_.misses)
-                if round_.misses
-                else None
-            )
-            rows = round_.assemble(missed)
-            hit_rows = int(sum(round_.hit_rows))
+        rows, hit_rows = evaluate_round(
+            problem, chunk.to_pending(), self.cache, evaluate_pending
+        )
+        hit_rows = int(sum(hit_rows))
         with self._lock:
             self.chunks_served += 1
             self.rows_served += chunk.n_rows

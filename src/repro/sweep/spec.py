@@ -14,8 +14,7 @@ Execution knobs (``engine``/``engine_params``/``cache``/``cache_params``/
 ``workers``) travel with the spec for convenience but are excluded from
 :meth:`SweepSpec.sweep_hash`: they change wall-clock, never results, so a
 store written by a 4-worker sweep resumes cleanly under 1 worker and vice
-versa.  (Caches only qualify because sweeps refuse the accounting-changing
-``count_hits=False`` mode.)
+versa.
 """
 
 from __future__ import annotations
@@ -196,11 +195,9 @@ class SweepSpec:
         Warm-start evaluation cache forwarded to every per-run
         :class:`RunSpec`.  With a ``spill_path`` cache parameter the runs
         of the sweep share one warm cache file (best-effort under
-        concurrent workers).  Sweeps require the default ledger-faithful
-        accounting (``count_hits=False`` is refused), which is what makes
-        the cache another execution knob: records stay byte-identical to
-        a cache-off sweep, so these fields are excluded from
-        :meth:`sweep_hash` too.
+        concurrent workers).  A cache is another execution knob: records
+        stay byte-identical to a cache-off sweep, so these fields are
+        excluded from :meth:`sweep_hash` too.
     workers:
         Default process count for the sweep executor (1 = serial);
         ``None`` lets the executor decide.  Excluded from
@@ -247,17 +244,6 @@ class SweepSpec:
             raise ValueError("engine_params require an engine name")
         if self.cache_params and self.cache is None:
             raise ValueError("cache_params require a cache name")
-        if self.cache is not None and not self.cache_params.get("count_hits", True):
-            # Free-hit accounting changes the reported simulation totals,
-            # which would make the sweep's records non-comparable with the
-            # paper protocol *and* with stores written cache-off — exactly
-            # what sweep_hash interchangeability promises.  Refused here,
-            # loudly, rather than silently producing skewed tables.
-            raise ValueError(
-                "sweeps require ledger-faithful cache accounting; "
-                "count_hits=False would change the recorded simulation "
-                "totals (use a plain RunSpec for free-hit experiments)"
-            )
         seen_m = [m.label for m in methods]
         if len(set(seen_m)) != len(seen_m):
             raise ValueError(f"duplicate method labels in sweep: {seen_m}")

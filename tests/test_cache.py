@@ -8,8 +8,7 @@ The load-bearing guarantees:
   counters move.
 * **Ledger faithfulness** — replayed rows are still charged to their
   category and additionally recorded under the ledger's ``cached`` column,
-  so the paper-accounting totals never change unless the run explicitly
-  opts into ``count_hits=False``.
+  so the paper-accounting totals never change.
 """
 
 import json
@@ -23,7 +22,6 @@ from repro.engine import (
     CACHES,
     LegacyEngine,
     LRUEvaluationCache,
-    NullCache,
     ProcessPoolEngine,
     SerialEngine,
     make_cache,
@@ -89,7 +87,7 @@ def _fingerprint(states, ledger):
 
 class TestRegistryAndFactory:
     def test_builtin_caches_registered(self):
-        assert {"lru", "null"} <= set(CACHES.names())
+        assert CACHES.names() == ["lru"]
 
     def test_make_cache_none_means_no_cache(self):
         assert make_cache(None) is None
@@ -104,7 +102,7 @@ class TestRegistryAndFactory:
         assert cache.max_bytes == 1234
 
     def test_make_cache_passes_instances_through(self):
-        cache = NullCache()
+        cache = LRUEvaluationCache()
         assert make_cache(cache) is cache
 
     def test_make_cache_rejects_params_for_instances(self):
@@ -112,7 +110,7 @@ class TestRegistryAndFactory:
             make_cache(LRUEvaluationCache(), max_bytes=1)
 
     def test_unknown_cache_lists_registered(self):
-        with pytest.raises(ValueError, match="lru.*null"):
+        with pytest.raises(ValueError, match="lru"):
             make_cache("memcached")
 
     def test_negative_byte_budget_rejected(self):
@@ -194,12 +192,6 @@ class TestLRUMechanics:
         cache.store("k", rows)
         assert cache.stats.entries == 1
         assert cache.stats.bytes == rows.nbytes
-
-    def test_null_cache_never_remembers(self):
-        cache = NullCache()
-        cache.store("k", np.zeros((2, 2)))
-        assert cache.lookup("k", 2) is None
-        assert cache.stats.misses == 1
 
 
 class TestSpillFile:
@@ -315,18 +307,26 @@ class TestEngineEquivalence:
         assert stats[0] == stats[1] == stats[2]
 
     def test_auto_engine_carries_cache_through_commit(self):
+        # The pilot round commits the engine; the round after the commit
+        # must still be served by the attached cache.
         problem = make_sphere_problem()
+        reference = self._run(problem, SerialEngine(), None)
         cache = LRUEvaluationCache()
         engine = make_engine("auto", pilot_rows=10)
+        blocks = sum(1 for g in self.GAINS if g > 0)
         engine.cache = cache
-        states, _ = _states(problem)
         try:
-            engine.refine_round(problem, states, self.GAINS)
+            cold, cold_ledger = _states(problem)
+            engine.refine_round(problem, cold, self.GAINS)
             assert engine.chosen is not None
-            assert engine._delegate.cache is cache
+            assert cache.stats.misses == blocks and cache.stats.hits == 0
+            warm, warm_ledger = _states(problem)
+            engine.refine_round(problem, warm, self.GAINS)
         finally:
             engine.close()
-        assert cache.stats.misses > 0
+        assert cache.stats.misses == blocks and cache.stats.hits == blocks
+        assert _fingerprint(cold, cold_ledger) == reference
+        assert _fingerprint(warm, warm_ledger) == reference
 
 
 class TestLedgerFaithfulness:
@@ -344,21 +344,6 @@ class TestLedgerFaithfulness:
         engine.refine_round(problem, warm, [10] * len(warm))
         assert warm_ledger.total == cold_ledger.total
         assert warm_ledger.cached == warm_ledger.total
-
-    def test_count_hits_false_makes_hits_free(self):
-        problem = make_sphere_problem()
-        cache = LRUEvaluationCache(count_hits=False)
-        engine = SerialEngine()
-        engine.cache = cache
-
-        cold, cold_ledger = _states(problem)
-        engine.refine_round(problem, cold, [10] * len(cold))
-        assert cold_ledger.total > 0  # misses always charge
-
-        warm, warm_ledger = _states(problem)
-        engine.refine_round(problem, warm, [10] * len(warm))
-        assert warm_ledger.total == 0
-        assert warm_ledger.cached == cold_ledger.total
 
     def test_ledger_serialization_round_trips_cached(self):
         ledger = SimulationLedger()
@@ -483,11 +468,9 @@ class TestSampleKeyMode:
         assert warm == cold
         assert delta["miss_rows"] == 0 and delta["hit_rows"] == 6 * 6
 
-    @pytest.mark.parametrize("count_hits, expect_total", [(True, 9), (False, 5)])
-    def test_partial_replay_ledger_accounting(self, count_hits, expect_total):
+    def test_partial_replay_ledger_accounting(self):
         # scatter_round's generalized accounting: a block with 4 of its 9
-        # rows replayed records cached=4 and charges 9 (ledger-faithful
-        # default) or only the 5 simulated rows (count_hits=False).
+        # rows replayed records cached=4 and still charges all 9.
         from repro.engine.base import scatter_round
         from repro.yieldsim.estimator import PendingRefinement
 
@@ -507,10 +490,9 @@ class TestSampleKeyMode:
         )
         block = PendingRefinement(_State(), samples, "stage1")
         performance = np.zeros((9, len(problem.specs)))
-        cache = LRUEvaluationCache(key="sample", count_hits=count_hits)
-        scatter_round(problem, [block], performance, [4], cache)
+        scatter_round(problem, [block], performance, [4])
         assert ledger.cached == 4
-        assert ledger.total == expect_total
+        assert ledger.total == 9
 
     def test_optimize_bit_identity_with_sample_cache(self):
         baseline = optimize(problem="sphere", seed=5, **TINY).identity_dict()
@@ -571,14 +553,6 @@ class TestOptimizeBitIdentity:
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["hit_rows"] == cold.cache_stats["miss_rows"]
         assert warm.identity_dict() == cold.identity_dict()
-
-    def test_count_hits_false_changes_reported_totals(self):
-        cache = LRUEvaluationCache(count_hits=False)
-        kwargs = dict(method="moheco", seed=7, cache=cache, **TINY)
-        cold = optimize("sphere", **kwargs)
-        warm = optimize("sphere", **kwargs)
-        assert cold.n_simulations > 0
-        assert warm.n_simulations < cold.n_simulations
 
     def test_namespace_separates_problem_params(self, tmp_path):
         spill = str(tmp_path / "spill.jsonl")
@@ -673,13 +647,6 @@ class TestSweepSurface:
 
     def test_cache_excluded_from_sweep_hash(self):
         assert self._spec().sweep_hash() == self._spec(cache="lru").sweep_hash()
-
-    @pytest.mark.parametrize("value", [False, 0])
-    def test_count_hits_false_refused(self, value):
-        # 0 is what `--cache-param count_hits=0` parses to; any falsy value
-        # disables charging and must be refused, not just the literal False.
-        with pytest.raises(ValueError, match="ledger-faithful"):
-            self._spec(cache="lru", cache_params={"count_hits": value})
 
     def test_cache_params_require_cache(self):
         with pytest.raises(ValueError, match="cache_params"):

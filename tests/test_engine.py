@@ -22,7 +22,7 @@ from repro.engine import (
     SerialEngine,
     make_engine,
 )
-from repro.engine.process import _chunk_blocks
+from repro.engine.base import chunk_blocks
 from repro.core.callbacks import Callback
 from repro.ledger import SimulationLedger
 from repro.ocba import ocba_sequential
@@ -155,7 +155,7 @@ class TestProcessPool:
                 self.n_samples = n
 
         blocks = [Block(n) for n in (5, 1, 9, 3, 2, 7)]
-        chunks = _chunk_blocks(blocks, 3)
+        chunks = chunk_blocks(blocks, 9, max_chunks=3)
         assert 1 <= len(chunks) <= 3
         flattened = [block for chunk in chunks for block in chunk]
         assert flattened == blocks  # order preserved, nothing lost
@@ -416,6 +416,38 @@ class TestCustomEngines:
         result = optimize("sphere", seed=5, engine=CountingEngine(), **TINY)
         assert calls, "the engine must have executed rounds"
         assert result.best_yield > 0.0
+
+    def test_simulate_only_engine_matches_serial(self):
+        rows = []
+
+        class TallyEngine(EvaluationEngine):
+            name = "tally"
+
+            def simulate(self, problem, blocks):
+                performance = super().simulate(problem, blocks)
+                rows.append(len(performance))
+                return performance
+
+        result = optimize("sphere", seed=5, engine=TallyEngine(), **TINY)
+        baseline = optimize("sphere", seed=5, **TINY)
+        assert result.identity_dict() == baseline.identity_dict()
+        assert sum(rows) == result.ledger.total - result.ledger.count("feasibility")
+
+    def test_engine_dropping_a_row_breaks_conservation(self):
+        from repro.api import register_engine
+
+        class DroppingEngine(EvaluationEngine):
+            name = "dropping"
+
+            def simulate(self, problem, blocks):
+                return super().simulate(problem, blocks)[:-1]
+
+        register_engine("dropping", DroppingEngine)
+        try:
+            with pytest.raises(RuntimeError, match="'dropping' broke round"):
+                optimize("sphere", seed=5, engine="dropping", **TINY)
+        finally:
+            ENGINES.unregister("dropping")
 
     def test_duck_typed_problem_runs_on_serial_engine(self):
         """Problems without evaluate_pairs/evaluate_batch still fuse."""

@@ -18,9 +18,9 @@ import pytest
 
 from repro.api import optimize
 from repro.engine import ENGINES, RemoteEngine, make_engine
-from repro.engine.base import evaluate_pending
+from repro.engine.base import chunk_blocks, evaluate_pending
 from repro.engine.cache import make_cache
-from repro.engine.remote import _chunk_pending, normalize_worker_url
+from repro.engine.remote import normalize_worker_url
 from repro.engine.wire import (
     ChunkRequest,
     decode_array,
@@ -162,13 +162,13 @@ class TestWireFormat:
 class TestChunking:
     def test_respects_block_boundaries_and_row_target(self):
         blocks = [_block([1.0], np.zeros((rows, 2))) for rows in (5, 5, 5, 20, 3)]
-        chunks = _chunk_pending(blocks, 10)
+        chunks = chunk_blocks(blocks, 10)
         assert [sum(b.n_samples for b in chunk) for chunk in chunks] == [10, 25, 3]
         assert [b for chunk in chunks for b in chunk] == blocks
 
     def test_single_chunk_when_target_exceeds_round(self):
         blocks = [_block([1.0], np.zeros((2, 2)))] * 3
-        assert len(_chunk_pending(blocks, 1000)) == 1
+        assert len(chunk_blocks(blocks, 1000)) == 1
 
     def test_url_normalization(self):
         assert normalize_worker_url("host:9101") == "http://host:9101"

@@ -2,21 +2,22 @@
 
 PR 6 replaced the process pool's per-round ``(designs, samples)`` pickling
 with one :class:`multiprocessing.shared_memory` block per round.  These
-tests pin the staging mechanics (:class:`~repro.engine.process.ShmRound`)
-and the engine contract that matters: results are bit-identical to
-:class:`~repro.engine.serial.SerialEngine` for any worker count and
-transfer, with and without a warm-start cache — on the circuit-priced
-``netlist_ota`` problem whose per-row cost is what the pool exists for.
+tests pin the staging mechanics (:class:`~repro.engine.process.ShmRound`),
+the pickled-chunk fallback for platforms without POSIX shared memory, and
+the engine contract that matters: results are bit-identical to
+:class:`~repro.engine.serial.SerialEngine` for any worker count, with and
+without a warm-start cache — on the circuit-priced ``netlist_ota`` problem
+whose per-row cost is what the pool exists for.
 """
 
 import numpy as np
 import pytest
 from multiprocessing import shared_memory
 
+import repro.engine.process as process_module
 from repro.api import optimize
-from repro.engine import make_engine
 from repro.engine.cache import make_cache
-from repro.engine.process import ProcessPoolEngine, ShmRound, _evaluate_shm_chunk
+from repro.engine.process import ShmRound, _evaluate_shm_chunk
 from repro.yieldsim.estimator import PendingRefinement
 
 
@@ -67,7 +68,6 @@ class TestShmRound:
     def test_worker_chunk_evaluates_against_views(self):
         # Drive the worker entry point in-process: attach, rebuild views,
         # evaluate, detach — no pool needed to pin the descriptor protocol.
-        import repro.engine.process as process_module
         from repro.engine.base import evaluate_pending
         from repro.problems import make_problem
 
@@ -87,20 +87,36 @@ class TestShmRound:
         np.testing.assert_array_equal(got, expected)
 
 
-class TestEngineParams:
-    def test_rejects_unknown_transfer(self):
-        with pytest.raises(ValueError, match="transfer"):
-            ProcessPoolEngine(workers=2, transfer="carrier-pigeon")
+class TestNoSharedMemoryFallback:
+    def test_pickled_chunks_match_serial(self, monkeypatch):
+        # Where POSIX shm cannot be allocated, rounds ship (x, samples)
+        # chunks through the call pickle — with the same results.
+        def no_shm(blocks):
+            raise OSError("no POSIX shared memory")
 
-    def test_transfer_surfaces_through_registry(self):
-        engine = make_engine("process", workers=2, transfer="pickle")
-        assert engine.transfer == "pickle"
-        engine.close()
+        stripped = []
+        strip = process_module._strip
+
+        def counting_strip(block):
+            stripped.append(block.n_samples)
+            return strip(block)
+
+        monkeypatch.setattr(process_module, "ShmRound", no_shm)
+        monkeypatch.setattr(process_module, "_strip", counting_strip)
+        config = dict(problem="sphere", seed=5, max_generations=3, pop_size=8)
+        serial = optimize(engine="serial", **config)
+        pooled = optimize(
+            engine="process",
+            engine_params={"workers": 2, "min_dispatch_rows": 1},
+            **config,
+        )
+        assert pooled.identity_dict() == serial.identity_dict()
+        assert sum(stripped) > 0, "the pickled chunk path must have run"
 
 
 @pytest.mark.slow
 class TestCircuitPricedBitIdentity:
-    """Serial vs process{1,2,4} x {shm,pickle} on the netlist OTA."""
+    """Serial vs process{1,2,4} on the netlist OTA."""
 
     CONFIG = dict(
         problem="netlist_ota",
@@ -119,15 +135,7 @@ class TestCircuitPricedBitIdentity:
     def test_shm_transfer_matches_serial(self, serial_identity, workers):
         result = optimize(
             engine="process",
-            engine_params={"workers": workers, "transfer": "shm"},
-            **self.CONFIG,
-        )
-        assert result.identity_dict() == serial_identity
-
-    def test_pickle_transfer_matches_serial(self, serial_identity):
-        result = optimize(
-            engine="process",
-            engine_params={"workers": 2, "transfer": "pickle"},
+            engine_params={"workers": workers},
             **self.CONFIG,
         )
         assert result.identity_dict() == serial_identity
@@ -139,14 +147,14 @@ class TestCircuitPricedBitIdentity:
         cache = make_cache("lru")
         cold = optimize(
             engine="process",
-            engine_params={"workers": workers, "transfer": "shm"},
+            engine_params={"workers": workers},
             cache=cache,
             **self.CONFIG,
         )
         assert cold.identity_dict() == serial_identity
         warm = optimize(
             engine="process",
-            engine_params={"workers": workers, "transfer": "shm"},
+            engine_params={"workers": workers},
             cache=cache,
             **self.CONFIG,
         )
@@ -167,7 +175,6 @@ class TestAutoEngineDecision:
         decision = result.engine_decision
         assert decision is not None
         assert decision["chosen"] == "serial"
-        assert decision["model"] == "crossover"
         assert decision["pilot_cost_seconds"] < decision["crossover_cost_seconds"]
         assert decision["workers"] == 4
 
@@ -186,8 +193,15 @@ class TestAutoEngineDecision:
         decision = result.engine_decision
         assert decision is not None
         assert decision["chosen"] == "process"
-        assert decision["transfer"] == "shm"
         assert decision["pilot_cost_seconds"] >= decision["crossover_cost_seconds"]
+
+    def test_cli_prints_the_commit_record(self, capsys):
+        from repro.api.cli import main
+
+        args = ["run", "--problem", "sphere", "--seed", "5", "--engine", "auto"]
+        args += ["--set", "pop_size=8", "--set", "max_generations=2"]
+        assert main(args) == 0
+        assert "engine[auto]: chose serial (measured " in capsys.readouterr().out
 
     def test_decision_outside_result_identity(self):
         result = optimize(
@@ -201,21 +215,3 @@ class TestAutoEngineDecision:
         assert result.engine_decision is not None
         assert "engine_decision" in result.to_dict()
         assert "engine_decision" not in result.identity_dict()
-
-    def test_fixed_threshold_override_still_forces_process(self):
-        # The pre-crossover interface: an explicit threshold bypasses the
-        # model entirely (0.0 forces the pool on any workload).
-        result = optimize(
-            problem="sphere",
-            seed=5,
-            engine="auto",
-            engine_params={
-                "workers": 2,
-                "cost_threshold_seconds": 0.0,
-                "pilot_rows": 1,
-            },
-            max_generations=2,
-            pop_size=8,
-        )
-        assert result.engine_decision["chosen"] == "process"
-        assert result.engine_decision["model"] == "fixed-threshold"
