@@ -1,4 +1,5 @@
-"""Golden result identities of every built-in method on ``sphere``.
+"""Golden result identities of every built-in method on ``sphere``, and of
+the paper's circuits at the evaluator and the driver.
 
 ``tests/golden_identities.json`` stores the SHA-256 of the canonical-JSON
 ``identity_dict()`` of each built-in method x 3 seeds, recorded on the
@@ -6,6 +7,13 @@ default serial engine.  A refactor of the method or engine layer must
 leave every hash unchanged: the engine is one more input, and a few rows
 are re-run on every other backend (and on a warm cache) against the same
 serial hashes.
+
+The ``circuits`` block pins the circuit problems the sphere rows never
+reach: per topology, the SHA-256 of ``evaluate`` on a fixed panel
+(designs drawn from the design space x LHS process samples) and of the
+batched nominal-feasibility gate, plus the ``identity_dict()`` hash of a
+``moheco`` run on each paper circuit.  An evaluator refactor (batching,
+vectorisation) must leave every one of them unchanged.
 
 Bit-identity is promised per host (numpy/scipy versions decide the float
 bits), so the hashes are compared only when the installed numpy and scipy
@@ -30,7 +38,9 @@ import pytest
 import scipy
 
 from repro.api import optimize
+from repro.api.driver import resolve_problem
 from repro.engine import make_cache
+from repro.sampling import LatinHypercubeSampler
 
 FIXTURE = Path(__file__).with_name("golden_identities.json")
 
@@ -71,6 +81,17 @@ ENGINE_RUNS = {
 }
 
 
+#: Topologies whose evaluator outputs are pinned on a fixed panel.
+CIRCUITS = ("folded_cascode", "telescopic", "netlist_ota")
+#: ``design_space().sample`` designs x LHS samples for ``evaluate``, and the
+#: design count of the batched feasibility gate; one RNG seeds all three.
+PANEL = {"designs": 32, "samples": 64, "gate": 50, "seed": 20100}
+#: Paper circuits whose ``moheco`` run (seed 1) is pinned; 30 generations
+#: reach stage 1, stage 2 and AS screening on both.
+CIRCUIT_RUNS = ("folded_cascode", "telescopic")
+CIRCUIT_RUN_OVERRIDES = {"max_generations": 30}
+
+
 def identity_hash(result) -> str:
     text = json.dumps(result.identity_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -106,8 +127,46 @@ def run(method: str, seed: int, engine: str = "serial"):
     return once()
 
 
+def digest(*arrays) -> str:
+    """SHA-256 over the dtype, shape and bytes of each array."""
+    sha = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        sha.update(f"{array.dtype.str}{array.shape}".encode("utf-8"))
+        sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+def circuit_panel(name: str) -> dict:
+    """Hashes of ``evaluate`` (one call per design) and of the gate."""
+    problem = resolve_problem(name)
+    rng = np.random.default_rng(PANEL["seed"])
+    designs = problem.space.sample(PANEL["designs"], rng)
+    samples = LatinHypercubeSampler(problem.variation).draw(PANEL["samples"], rng)
+    performance = np.stack([problem.evaluator.evaluate(x, samples) for x in designs])
+    feasible, violation = problem.nominal_feasibility_batch(
+        problem.space.sample(PANEL["gate"], rng)
+    )
+    return {
+        "evaluate": digest(designs, samples, performance),
+        "feasibility": digest(feasible, violation),
+    }
+
+
+def circuit_run(name: str):
+    return optimize(name, "moheco", seed=1, **CIRCUIT_RUN_OVERRIDES)
+
+
 def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def skip_off_host(golden) -> None:
+    if golden["versions"] != versions():
+        pytest.skip(
+            f"fixture recorded with {golden['versions']}, this host has "
+            f"{versions()}; bit-identity is only promised per host"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -131,11 +190,7 @@ def test_fixture_covers_every_method_and_seed(golden):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_identity_matches_golden(method, golden, results):
-    if golden["versions"] != versions():
-        pytest.skip(
-            f"fixture recorded with {golden['versions']}, this host has "
-            f"{versions()}; bit-identity is only promised per host"
-        )
+    skip_off_host(golden)
     for seed in SEEDS:
         assert identity_hash(results[method, seed]) == (
             golden["identities"][method][str(seed)]
@@ -145,11 +200,7 @@ def test_identity_matches_golden(method, golden, results):
 @pytest.mark.parametrize("engine", sorted(ENGINE_RUNS))
 @pytest.mark.parametrize("method", ENGINE_METHODS)
 def test_identity_is_engine_invariant(method, engine, golden):
-    if golden["versions"] != versions():
-        pytest.skip(
-            f"fixture recorded with {golden['versions']}, this host has "
-            f"{versions()}; bit-identity is only promised per host"
-        )
+    skip_off_host(golden)
     result = run(method, 1, engine)
     if engine == "auto_pool":
         assert result.engine_decision["chosen"] == "process"
@@ -172,6 +223,43 @@ def test_runs_exercise_their_slot(results):
             )
 
 
+@pytest.fixture(scope="module")
+def circuit_results() -> dict:
+    return {name: circuit_run(name) for name in CIRCUIT_RUNS}
+
+
+def test_fixture_covers_every_circuit(golden):
+    circuits = golden["circuits"]
+    assert circuits["panel"] == PANEL
+    assert circuits["run_overrides"] == CIRCUIT_RUN_OVERRIDES
+    assert sorted(circuits["evaluate"]) == sorted(CIRCUITS)
+    assert sorted(circuits["runs"]) == sorted(CIRCUIT_RUNS)
+
+
+@pytest.mark.parametrize("name", CIRCUITS)
+def test_circuit_panel_matches_golden(name, golden):
+    skip_off_host(golden)
+    assert circuit_panel(name) == golden["circuits"]["evaluate"][name], (
+        f"{name}: evaluate or the feasibility gate changed its outputs"
+    )
+
+
+@pytest.mark.parametrize("name", CIRCUIT_RUNS)
+def test_circuit_run_matches_golden(name, golden, circuit_results):
+    skip_off_host(golden)
+    assert identity_hash(circuit_results[name]) == golden["circuits"]["runs"][name], (
+        f"{name} moheco seed 1 changed its result identity"
+    )
+
+
+@pytest.mark.parametrize("name", CIRCUIT_RUNS)
+def test_circuit_runs_reach_every_stage(name, circuit_results):
+    ledger = circuit_results[name].ledger
+    assert ledger.count("stage1") > 0
+    assert ledger.count("stage2") > 0
+    assert ledger.screened_out > 0
+
+
 def write_fixture() -> None:
     payload = {
         "versions": versions(),
@@ -182,6 +270,12 @@ def write_fixture() -> None:
         "identities": {
             method: {str(seed): identity_hash(run(method, seed)) for seed in SEEDS}
             for method in METHODS
+        },
+        "circuits": {
+            "panel": PANEL,
+            "run_overrides": CIRCUIT_RUN_OVERRIDES,
+            "evaluate": {name: circuit_panel(name) for name in CIRCUITS},
+            "runs": {name: identity_hash(circuit_run(name)) for name in CIRCUIT_RUNS},
         },
     }
     FIXTURE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
