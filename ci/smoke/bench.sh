@@ -8,6 +8,10 @@ set -euo pipefail
 
 REPRO_BENCH_SMOKE=1 pytest benchmarks/test_bench_engine.py -q -s
 
+# End-to-end moheco runs on the three circuit problems (max_generations
+# capped under REPRO_BENCH_SMOKE): wall-clock, charged sims and sims/s.
+REPRO_BENCH_SMOKE=1 pytest benchmarks/test_bench_e2e.py -q -s
+
 # Re-check the persisted numbers: the circuit-priced round must sit above
 # the engine-selection crossover, and wherever the crossover model
 # predicts a pool win (multi-core runners — all hosted GitHub runners

@@ -14,6 +14,12 @@ becomes addressable by name from :func:`~repro.api.optimize`, from
 
 The example sizes an RC low-pass so its corner frequency hits a band under
 +-10 % component variations.
+
+``evaluate(x, samples)`` is all an evaluator needs, but then every batch
+(a feasibility gate, an OCBA round) costs one call per design.  The fast
+path is the row-aligned ``evaluate_pairs(X, samples)`` — design ``X[i]``
+at sample ``samples[i]``, one call for the whole batch — which the
+built-in circuit topologies implement.
 """
 
 import numpy as np

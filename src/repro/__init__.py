@@ -131,7 +131,7 @@ from repro.problems import (
 from repro.specs import Spec, SpecSet
 from repro.yieldsim import reference_yield
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     # unified API

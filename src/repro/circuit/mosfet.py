@@ -251,6 +251,9 @@ class DeviceArrays:
 
     Attributes
     ----------
+    w, l:
+        Drawn geometry [m]; a scalar, or one entry per row when a batch
+        of designs is realized at once.
     vth:
         Effective threshold magnitude [V].
     kp:
@@ -274,8 +277,8 @@ class DeviceArrays:
     def __init__(
         self,
         card: MosfetModelCard,
-        w: float,
-        l: float,
+        w: np.ndarray | float,
+        l: np.ndarray | float,
         vth: np.ndarray,
         kp: np.ndarray,
         lam: np.ndarray,
@@ -289,8 +292,8 @@ class DeviceArrays:
         phi: np.ndarray | float | None = None,
     ) -> None:
         self.card = card
-        self.w = float(w)
-        self.l = float(l)
+        self.w = np.asarray(w, dtype=float)
+        self.l = np.asarray(l, dtype=float)
         self.vth = np.asarray(vth, dtype=float)
         self.kp = np.asarray(kp, dtype=float)
         self.lam = np.asarray(lam, dtype=float)
@@ -332,10 +335,10 @@ class DeviceArrays:
         """
         ids = np.maximum(np.asarray(ids, dtype=float), 1e-15)
         scale = self._nvt()
-        vov = np.zeros_like(ids + self.beta)  # broadcast shape
+        strength = 0.5 * self.beta * scale**2
+        vov = np.zeros_like(ids + strength)  # broadcast shape
         for _ in range(8):
-            q = np.sqrt(ids * (1.0 + self.theta * np.maximum(vov, 0.0))
-                        / (0.5 * self.beta * scale**2))
+            q = np.sqrt(ids * (1.0 + self.theta * np.maximum(vov, 0.0)) / strength)
             # invert softplus: u = ln(exp(q) - 1), guarded for large q
             vov = scale * np.where(q > 30.0, q, np.log(np.expm1(np.minimum(q, 30.0))))
         return vov
@@ -424,6 +427,6 @@ class DeviceArrays:
         """Source-bulk junction capacitance [F]."""
         return self.cdb()
 
-    def area(self) -> float:
+    def area(self) -> np.ndarray:
         """Drawn gate area W*L [m^2] (for the area spec)."""
         return self.w * self.l

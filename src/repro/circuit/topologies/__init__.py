@@ -1,10 +1,11 @@
 """Parametric amplifier topologies.
 
 Each topology implements the paper's corresponding benchmark circuit as a
-*vectorised performance model*: given one design vector and a matrix of
-process samples it returns the performance metrics for every sample in one
-NumPy pass.  The small-signal netlist builders allow cross-checking the
-analytic models against the MNA engine (see tests/test_crosscheck_mna.py).
+*vectorised performance model*: given a design matrix and a process sample
+matrix aligned row by row (``evaluate_pairs``) it returns the performance
+metrics of every row in one NumPy pass.  The small-signal netlist builders
+allow cross-checking the analytic models against the MNA engine (see
+tests/test_crosscheck_mna.py).
 """
 
 from repro.circuit.topologies.base import AmplifierTopology

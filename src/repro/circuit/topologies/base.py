@@ -9,7 +9,19 @@ import numpy as np
 from repro.process.technology import Technology
 from repro.process.variation import ProcessVariationModel
 
-__all__ = ["AmplifierTopology", "DesignSpace"]
+__all__ = ["AmplifierTopology", "DesignSpace", "equal_row_runs"]
+
+
+def equal_row_runs(X: np.ndarray):
+    """Yield ``(start, stop)`` slices of runs of identical consecutive rows."""
+    n = X.shape[0]
+    if n == 0:
+        return
+    changed = np.flatnonzero(np.any(X[1:] != X[:-1], axis=1)) + 1
+    start = 0
+    for stop in (*changed.tolist(), n):
+        yield start, stop
+        start = stop
 
 
 class DesignSpace:
@@ -69,7 +81,8 @@ class AmplifierTopology(ABC):
     """A parametric amplifier performance model in one technology.
 
     Subclasses define the design space, the mismatch-carrying device list
-    and the vectorised performance evaluation.
+    and the vectorised, row-aligned performance evaluation
+    (:meth:`evaluate_pairs`); :meth:`evaluate` is its one-design view.
     """
 
     def __init__(self, tech: Technology) -> None:
@@ -91,21 +104,22 @@ class AmplifierTopology(ABC):
 
     # -- evaluation -------------------------------------------------------------
     @abstractmethod
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Performance of design ``x`` at each process sample.
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Performance of design ``X[i]`` at process sample ``samples[i]``.
 
-        Parameters
-        ----------
-        x:
-            Design vector, shape ``(design_space().dimension,)``.
-        samples:
-            Process sample matrix, shape ``(n, variation.dimension)``.
-
-        Returns
-        -------
-        numpy.ndarray
-            Performance matrix, shape ``(n, len(metric_names()))``.
+        The evaluator primitive: ``X`` is ``(N, design dimension)`` and
+        ``samples`` ``(N, variation.dimension)``; returns ``(N, n_metrics)``.
+        Each design variable enters the model as an ``(N,)`` column, so a
+        whole feasibility gate or fused OCBA round is one NumPy pass.
         """
+
+    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Performance of one design ``x`` at each sample row, ``(n, n_metrics)``."""
+        x = np.asarray(x, dtype=float)
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        return self.evaluate_pairs(
+            np.broadcast_to(x, (samples.shape[0], x.shape[-1])), samples
+        )
 
     # -- shared helpers ------------------------------------------------------------
     @property
@@ -118,8 +132,8 @@ class AmplifierTopology(ABC):
         nominal = self._variation.nominal()[None, :]
         return self.evaluate(x, nominal)[0]
 
-    def _realized(self, device: str, polarity: str, w: float, l: float,
+    def _realized(self, device: str, polarity: str, w: np.ndarray, l: np.ndarray,
                   inter: dict[str, np.ndarray], samples: np.ndarray):
-        """Realize one device's effective parameters over all samples."""
+        """Realize one device's effective parameters over all sample rows."""
         scores = self._variation.mismatch_scores(samples, device)
         return self.tech.realize(polarity, w, l, inter, scores)

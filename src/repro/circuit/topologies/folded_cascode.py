@@ -111,10 +111,10 @@ class FoldedCascodeAmplifier(AmplifierTopology):
         return list(_METRICS)
 
     # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        d = dict(zip(_DESIGN_NAMES, x.tolist()))
+        d = dict(zip(_DESIGN_NAMES, X.T))
         vdd = self.tech.vdd
         vcm_in = 0.5 * vdd
         vout_cm = 0.5 * vdd

@@ -55,7 +55,7 @@ from repro.circuit.ac import BatchACAnalysis
 from repro.circuit.elements import VCCS, Resistor
 from repro.circuit.mna import MNAAssembler
 from repro.circuit.netlist import Circuit
-from repro.circuit.topologies.base import AmplifierTopology, DesignSpace
+from repro.circuit.topologies.base import AmplifierTopology, DesignSpace, equal_row_runs
 from repro.units import ratio_to_db
 
 __all__ = ["NetlistTwoStageOTA"]
@@ -101,7 +101,7 @@ class NetlistTwoStageOTA(AmplifierTopology):
     def metric_names(self) -> list[str]:
         return list(_METRICS)
 
-    #: Frequency grid used by :meth:`evaluate` (exposed for tests).
+    #: Frequency grid of the AC solves (exposed for tests).
     frequency_grid = _GRID
 
     def __init__(self, tech) -> None:
@@ -225,9 +225,17 @@ class NetlistTwoStageOTA(AmplifierTopology):
         return {"gm1": gm1, "gm2": gm2, "go1": go1, "go2": go2, "power": power}
 
     # -- evaluation -------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """One stacked solve per run of equal design rows (``cc`` moves ``C``)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        out = np.empty((X.shape[0], len(_METRICS)))
+        for start, stop in equal_row_runs(X):
+            out[start:stop] = self._evaluate_design(X[start], samples[start:stop])
+        return out
+
+    def _evaluate_design(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Performance of one design at each sample row (one stacked solve)."""
         g0, c0, b0, nodemap, basis = self._assemble(x)
         v = self.nominal_values(x)
         values = self.small_signal_values(x, samples)

@@ -128,10 +128,10 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         return list(_METRICS)
 
     # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        d = dict(zip(_DESIGN_NAMES, x.tolist()))
+        d = dict(zip(_DESIGN_NAMES, X.T))
         vdd = self.tech.vdd
         vout_cm = 0.5 * vdd
 
@@ -293,7 +293,6 @@ class TwoStageTelescopicAmplifier(AmplifierTopology):
         )
         cap_area = 2.0 * cc / CAP_DENSITY
         area = LAYOUT_OVERHEAD * (gate_area + cap_area)
-        area = area * np.ones(samples.shape[0])
 
         # -- offset -----------------------------------------------------------------------
         dvth_in = m1.vth - m2.vth

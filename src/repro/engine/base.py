@@ -75,10 +75,10 @@ def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
 
     Stacks every pending block into one ``(sum(k_i), ...)`` pair matrix and
     resolves it through the problem's ``evaluate_pairs`` protocol; problems
-    that predate the protocol fall back to one ``evaluate_batch`` /
-    ``simulate`` call per block.  Returns the stacked performance matrix in
-    block order.  Ledger charging is the caller's job (workers in a process
-    pool must not touch the parent's ledger).
+    that predate the protocol fall back to one ``simulate`` call per block.
+    Returns the stacked performance matrix in block order.  Ledger charging
+    is the caller's job (workers in a process pool must not touch the
+    parent's ledger).
     """
     evaluate_pairs = getattr(problem, "evaluate_pairs", None)
     if evaluate_pairs is not None:
@@ -90,13 +90,7 @@ def evaluate_pending(problem, pending: list[PendingRefinement]) -> np.ndarray:
         samples = np.concatenate([block.samples for block in pending])
         return np.asarray(evaluate_pairs(X, samples), dtype=float)
 
-    rows = []
-    for block in pending:
-        evaluate_batch = getattr(problem, "evaluate_batch", None)
-        if evaluate_batch is not None:
-            rows.append(evaluate_batch(block.state.x[None, :], block.samples)[0])
-        else:
-            rows.append(problem.simulate(block.state.x, block.samples))
+    rows = [problem.simulate(block.state.x, block.samples) for block in pending]
     return np.concatenate([np.atleast_2d(r) for r in rows])
 
 

@@ -4,7 +4,8 @@ A problem couples
 
 * an **evaluator** — anything with ``design_space()``, ``metric_names()``,
   ``evaluate(x, samples)`` and a ``variation`` model (amplifier topologies
-  and synthetic evaluators both qualify),
+  and synthetic evaluators both qualify; defining the row-aligned
+  ``evaluate_pairs(X, samples)`` too makes every batch one call),
 * a **spec set** — pass/fail semantics per sample, and
 * **ledger accounting** — every evaluated sample is charged to the supplied
   :class:`~repro.ledger.SimulationLedger`, which is what the paper's
@@ -19,22 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.circuit.topologies.base import equal_row_runs
 from repro.ledger import SimulationLedger
 from repro.specs import SpecSet
 
 __all__ = ["YieldProblem"]
-
-
-def _equal_row_runs(X: np.ndarray):
-    """Yield ``(start, stop)`` slices of runs of identical consecutive rows."""
-    n = X.shape[0]
-    if n == 0:
-        return
-    changed = np.flatnonzero(np.any(X[1:] != X[:-1], axis=1)) + 1
-    start = 0
-    for stop in (*changed.tolist(), n):
-        yield start, stop
-        start = stop
 
 
 class YieldProblem:
@@ -113,11 +103,9 @@ class YieldProblem:
     ) -> np.ndarray:
         """Performance tensor of ``m`` designs at ``n`` shared samples.
 
-        This is the batched evaluation protocol the Monte-Carlo hot paths
-        call: one array op instead of ``m`` Python-level evaluator calls.
-        Evaluators that define ``evaluate_batch(X, samples)`` (the synthetic
-        problems do) are called once for the whole design batch; all others
-        fall back to a per-design loop with identical semantics.
+        The cross product is resolved as one :meth:`evaluate_pairs` call
+        on the ``m * n`` repeated rows (design ``i`` at sample ``j`` is row
+        ``i * n + j``).
 
         Parameters
         ----------
@@ -135,15 +123,11 @@ class YieldProblem:
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if ledger is not None:
-            ledger.charge(X.shape[0] * samples.shape[0], category=category)
-        batch_evaluate = getattr(self.evaluator, "evaluate_batch", None)
-        if batch_evaluate is not None:
-            return np.asarray(batch_evaluate(X, samples), dtype=float)
-        out = np.empty((X.shape[0], samples.shape[0], len(self.specs)))
-        for i, x in enumerate(X):
-            out[i] = self.evaluator.evaluate(x, samples)
-        return out
+        m, n = X.shape[0], samples.shape[0]
+        performance = self.evaluate_pairs(
+            np.repeat(X, n, axis=0), np.tile(samples, (m, 1)), ledger, category
+        )
+        return performance.reshape(m, n, len(self.specs))
 
     def evaluate_pairs(
         self,
@@ -161,10 +145,10 @@ class YieldProblem:
         :meth:`evaluate_batch` — the cross-product ``m x n`` protocol — it
         charges exactly ``N`` simulations.
 
-        Evaluators that define ``evaluate_pairs(X, samples)`` handle the
-        whole matrix in one array op; all others are dispatched one call
-        per run of identical consecutive design rows (which is exactly one
-        call per candidate when the engines build the stack).
+        Evaluators that define ``evaluate_pairs(X, samples)`` (every
+        built-in one) handle the whole matrix in one call; evaluators that
+        define only ``evaluate`` are called once per run of identical
+        consecutive design rows (once per candidate of an engine round).
 
         Parameters
         ----------
@@ -192,18 +176,11 @@ class YieldProblem:
         if pairs_evaluate is not None:
             return np.asarray(pairs_evaluate(X, samples), dtype=float)
         out = np.empty((X.shape[0], len(self.specs)))
-        for start, stop in _equal_row_runs(X):
+        for start, stop in equal_row_runs(X):
             out[start:stop] = self.evaluator.evaluate(X[start], samples[start:stop])
         return out
 
     # -- nominal feasibility -------------------------------------------------------
-    def nominal_performance(
-        self, x: np.ndarray, ledger: SimulationLedger | None = None
-    ) -> np.ndarray:
-        """Performance at the nominal process point (one charged sim)."""
-        nominal = self.variation.nominal()[None, :]
-        return self.simulate(x, nominal, ledger, category="feasibility")[0]
-
     def nominal_feasibility(
         self, x: np.ndarray, ledger: SimulationLedger | None = None
     ) -> tuple[bool, float]:
@@ -211,11 +188,12 @@ class YieldProblem:
 
         This is the paper's step-3 feasibility check: infeasible candidates
         get yield 0 and compete by violation (Deb's rules); no MC analysis
-        is spent on them.
+        is spent on them.  One charged simulation.
         """
-        performance = self.nominal_performance(x, ledger)[None, :]
-        violation = float(self.specs.violation(performance)[0])
-        return violation == 0.0, violation
+        feasible, violation = self.nominal_feasibility_batch(
+            np.asarray(x, dtype=float)[None, :], ledger
+        )
+        return bool(feasible[0]), float(violation[0])
 
     def nominal_feasibility_batch(
         self, X: np.ndarray, ledger: SimulationLedger | None = None
@@ -227,9 +205,9 @@ class YieldProblem:
         would.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        nominal = self.variation.nominal()[None, :]
-        performance = self.evaluate_batch(X, nominal, ledger, category="feasibility")
-        violations = self.specs.violation(performance[:, 0, :])
+        nominal = np.repeat(self.variation.nominal()[None, :], X.shape[0], axis=0)
+        performance = self.evaluate_pairs(X, nominal, ledger, category="feasibility")
+        violations = self.specs.violation(performance)
         return violations == 0.0, violations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

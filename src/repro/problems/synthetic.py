@@ -91,24 +91,6 @@ class SyntheticEvaluator:
             out[:, j] = float(g(x)) + self._sigmas[j] * samples[:, j]
         return out
 
-    def evaluate_batch(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Vectorized batch evaluation: ``(m, n, n_metrics)`` in one array op.
-
-        Metrics registered with a batch-aware ``g`` evaluate the whole
-        design matrix at once; the rest fall back to a per-design loop for
-        the noise-free part only (the noise add is always vectorized).
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        out = np.empty((X.shape[0], samples.shape[0], len(self._g_funcs)))
-        for j, (g, g_batch) in enumerate(zip(self._g_funcs, self._g_batch_funcs)):
-            if g_batch is not None:
-                base = np.asarray(g_batch(X), dtype=float)
-            else:
-                base = np.array([float(g(x)) for x in X])
-            out[:, :, j] = base[:, None] + self._sigmas[j] * samples[None, :, j]
-        return out
-
     def evaluate_pairs(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Row-aligned evaluation ``(N, n_metrics)`` — the fused-round path.
 

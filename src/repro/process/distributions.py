@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
+from scipy import special as _scipy_special
 from scipy import stats as _scipy_stats
 
 __all__ = [
@@ -39,6 +40,14 @@ class Distribution(ABC):
     @abstractmethod
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF evaluated at uniform variates ``u`` in (0, 1)."""
+
+    @classmethod
+    def ppf_columns(cls, distributions: list, u: np.ndarray) -> np.ndarray:
+        """Column ``j`` of ``u`` through ``distributions[j].ppf`` (one family).
+
+        Closed-form families override it with one call over all columns.
+        """
+        return np.column_stack([d.ppf(u[:, j]) for j, d in enumerate(distributions)])
 
     @property
     @abstractmethod
@@ -66,6 +75,11 @@ class NormalDistribution(Distribution):
     def ppf(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return self.mu + self.sigma * _ndtri(u)
+
+    @classmethod
+    def ppf_columns(cls, distributions, u):
+        mu, sigma = np.array([(d.mu, d.sigma) for d in distributions]).T
+        return mu + sigma * _ndtri(u)
 
     @property
     def mean(self) -> float:
@@ -99,6 +113,11 @@ class LognormalDistribution(Distribution):
         u = np.asarray(u, dtype=float)
         return np.exp(self.mu_log + self.sigma_log * _ndtri(u))
 
+    @classmethod
+    def ppf_columns(cls, distributions, u):
+        mu_log, sigma_log = np.array([(d.mu_log, d.sigma_log) for d in distributions]).T
+        return np.exp(mu_log + sigma_log * _ndtri(u))
+
     @property
     def mean(self) -> float:
         return float(np.exp(self.mu_log + 0.5 * self.sigma_log**2))
@@ -130,6 +149,11 @@ class UniformDistribution(Distribution):
     def ppf(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return self.low + (self.high - self.low) * u
+
+    @classmethod
+    def ppf_columns(cls, distributions, u):
+        low, high = np.array([(d.low, d.high) for d in distributions]).T
+        return low + (high - low) * u
 
     @property
     def mean(self) -> float:
@@ -190,4 +214,4 @@ class TruncatedNormalDistribution(Distribution):
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """Standard-normal inverse CDF, clipped away from 0/1 for stability."""
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return _scipy_stats.norm.ppf(u)
+    return _scipy_special.ndtri(u)

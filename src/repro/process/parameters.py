@@ -118,15 +118,21 @@ class ParameterGroup:
         """Map a uniform(0,1) matrix onto the parameter space via inverse CDFs.
 
         ``u`` has shape ``(n, len(group))``; used by LHS/Sobol samplers.
+        Each distribution family maps all of its columns in one
+        ``ppf_columns`` call.
         """
         u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != len(self._parameters):
             raise ValueError(
                 f"uniform matrix must have shape (n, {len(self._parameters)}), got {u.shape}"
             )
-        out = np.empty_like(u)
+        families: dict[type, list[int]] = {}
         for j, parameter in enumerate(self._parameters):
-            out[:, j] = parameter.distribution.ppf(u[:, j])
+            families.setdefault(type(parameter.distribution), []).append(j)
+        out = np.empty_like(u)
+        for family, columns in families.items():
+            distributions = [self._parameters[j].distribution for j in columns]
+            out[:, columns] = family.ppf_columns(distributions, u[:, columns])
         return out
 
     def describe(self) -> str:

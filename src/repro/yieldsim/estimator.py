@@ -250,19 +250,9 @@ class CandidateYieldState:
         if pending is None:
             return self.estimate
 
-        # The MC hot path goes through the batched protocol: evaluators
-        # with a vectorized ``evaluate_batch`` resolve the whole sample
-        # block in one array op.  Duck-typed problems that predate the
-        # protocol keep working through plain ``simulate``.
-        evaluate_batch = getattr(self.problem, "evaluate_batch", None)
-        if evaluate_batch is not None:
-            performance = evaluate_batch(
-                self.x[None, :], pending.samples, self.ledger, pending.category
-            )[0]
-        else:
-            performance = self.problem.simulate(
-                self.x, pending.samples, self.ledger, pending.category
-            )
+        performance = self.problem.simulate(
+            self.x, pending.samples, self.ledger, pending.category
+        )
         return self.absorb(pending.samples, performance)
 
     def refine_to(self, n_target: int, category: str | None = None) -> YieldEstimate:
